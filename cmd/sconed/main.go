@@ -25,9 +25,8 @@
 //
 // GET /v1/metrics serves the full observability registry — service,
 // simulator, fault-campaign and prover families — in Prometheus text format (legacy
-// JSON with Accept: application/json); the unversioned /metrics and
-// /healthz aliases answer with a Deprecation header. With -pprof the Go
-// runtime profiles are exposed under /debug/pprof/.
+// JSON with Accept: application/json). Every API path is versioned under
+// /v1/. With -pprof the Go runtime profiles are exposed under /debug/pprof/.
 package main
 
 import (
@@ -117,7 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	// One registry for the whole process: the service registers its own
 	// families on it, and the simulator and fault packages hook their
-	// package-level instruments in so /metrics shows every layer at once.
+	// package-level instruments in so /v1/metrics shows every layer at once.
 	reg := obs.NewRegistry()
 	sim.EnableObservability(reg)
 	fault.EnableObservability(reg)

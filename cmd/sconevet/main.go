@@ -13,8 +13,7 @@
 //	               registration sites
 //	provebudget    forbid bare bdd.New in internal/lint and internal/prove
 //	               (use bdd.NewWithBudget + bdd.Guarded)
-//	v1routes       require /v1/ route patterns in internal/service outside
-//	               the legacy-alias shim http_legacy.go
+//	v1routes       require /v1/ route patterns in internal/service
 //
 // Usage:
 //

@@ -124,18 +124,9 @@ func (d *Design) CellRegion(ci int) Region {
 // addressable; false after an optimised build.
 func (d *Design) ProbesValid() bool { return d.probesValid }
 
-// NumBranches returns 1 for the unprotected scheme, 3 for the correcting
-// (majority-of-three) scheme and 2 otherwise.
-func (d *Design) NumBranches() int {
-	switch {
-	case d.Opts.Scheme.Correcting():
-		return 3
-	case d.Opts.Scheme.Duplicated():
-		return 2
-	default:
-		return 1
-	}
-}
+// NumBranches returns the number of datapath branches of the design's
+// scheme (Scheme.NumBranches).
+func (d *Design) NumBranches() int { return d.Opts.Scheme.NumBranches() }
 
 // SboxInputBus returns the encoded bus feeding S-box s of branch b; fault
 // campaigns inject on its nets (e.g. bit 2 = second MSB of a 4-bit S-box).

@@ -89,6 +89,19 @@ func (s Scheme) Randomized() bool {
 // majority voting instead of releasing garbage.
 func (s Scheme) Correcting() bool { return s == SchemeCorrect }
 
+// NumBranches returns 1 for the unprotected scheme, 3 for the correcting
+// (majority-of-three) scheme and 2 otherwise.
+func (s Scheme) NumBranches() int {
+	switch {
+	case s.Correcting():
+		return 3
+	case s.Duplicated():
+		return 2
+	default:
+		return 1
+	}
+}
+
 // Masked reports whether the scheme carries the datapath as first-order
 // Boolean share pairs and consumes the mask_* ports.
 func (s Scheme) Masked() bool { return s == SchemeMaskedDup }

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/stats"
+	"repro/internal/leakage"
 )
 
 // Checkpoint is the durable mid-flight state of a campaign job. Because
@@ -19,13 +19,15 @@ import (
 // uninterrupted run bit for bit. Prove jobs checkpoint through the Prove
 // field, multifault jobs through the MultiFault field and leakage jobs
 // through the Leakage field instead; at most one of the four shapes is
-// ever populated.
+// ever populated. A leakage checkpoint is the evaluator's own
+// leakage.State, whose float64 accumulator fields round-trip JSON
+// bit-exactly.
 type Checkpoint struct {
 	NextBatch  int                   `json:"next_batch"`
 	Counts     CampaignResult        `json:"counts"`
 	Prove      *ProveCheckpoint      `json:"prove,omitempty"`
 	MultiFault *MultiFaultCheckpoint `json:"multifault,omitempty"`
-	Leakage    *LeakageCheckpoint    `json:"leakage,omitempty"`
+	Leakage    *leakage.State        `json:"leakage,omitempty"`
 }
 
 // ProveCheckpoint is the durable mid-flight state of a prove job. Proofs
@@ -47,17 +49,6 @@ type ProveCheckpoint struct {
 type MultiFaultCheckpoint struct {
 	NextTuple int           `json:"next_tuple"`
 	Done      []TupleResult `json:"done"`
-}
-
-// LeakageCheckpoint is the durable mid-flight state of a leakage job.
-// Trace batch b draws all randomness from (seed, b), so the next batch
-// index plus the streaming t-test accumulator (whose float64 fields
-// round-trip JSON bit-exactly) resume the evaluation bit-identically —
-// the resumed job simulates exactly the remaining batches.
-type LeakageCheckpoint struct {
-	NextBatch int              `json:"next_batch"`
-	Discarded int              `json:"discarded"`
-	TTest     stats.TTestState `json:"ttest"`
 }
 
 // jobRecord is the on-disk form of a job: the full request (jobs are

@@ -61,9 +61,11 @@ func ParseDesign(ds DesignSpec) (*spn.Spec, core.Options, error) {
 	return spec, opts, nil
 }
 
-// BuildDesign synthesises the core a job addresses. Compilation of the
-// resulting netlist goes through sim.CompileCached downstream, so repeated
-// jobs against the same spec share one compiled program.
+// BuildDesign synthesises the core a job addresses. Every call builds a
+// fresh module, and sim.CompileCached memoises on module identity, so
+// repeated jobs against the same spec each compile (and keep cached) their
+// own program; only executions sharing one built design, such as a
+// multifault job's placements, share a compilation.
 func BuildDesign(ds DesignSpec) (*core.Design, error) {
 	if ds.Netlist != "" {
 		return nil, fmt.Errorf("this job kind needs a synthesised design, not an inline netlist")
@@ -123,25 +125,36 @@ func parseModel(s string) (fault.Model, error) {
 	}
 }
 
+// checkFault parses one wire fault's branch and model and range-checks its
+// coordinates against the cipher and the protection scheme. Validate runs
+// it at submission, so an out-of-range fault is a synchronous 400 rather
+// than a failed job; resolveFaults runs it again on the built design.
+func checkFault(spec *spn.Spec, scheme core.Scheme, fs FaultSpec) (core.Branch, fault.Model, error) {
+	branch, err := parseBranch(fs.Branch)
+	if err != nil {
+		return 0, 0, err
+	}
+	model, err := parseModel(fs.Model)
+	if err != nil {
+		return 0, 0, err
+	}
+	if int(branch) >= scheme.NumBranches() {
+		return 0, 0, fmt.Errorf("scheme %s has no branch %q", scheme, branch)
+	}
+	if fs.Sbox < 0 || fs.Sbox >= spec.NumSboxes() || fs.Bit < 0 || fs.Bit >= spec.SboxBits {
+		return 0, 0, fmt.Errorf("S-box %d bit %d out of range for %s", fs.Sbox, fs.Bit, spec.Name)
+	}
+	return branch, model, nil
+}
+
 // resolveFaults maps wire fault specs onto concrete nets of the built
-// design. Branch addressing on an unduplicated design, or out-of-range
-// S-box coordinates, fail the job here with a descriptive error.
+// design.
 func resolveFaults(d *core.Design, specs []FaultSpec) ([]fault.Fault, error) {
 	faults := make([]fault.Fault, 0, len(specs))
 	for i, fs := range specs {
-		branch, err := parseBranch(fs.Branch)
+		branch, model, err := checkFault(d.Spec, d.Opts.Scheme, fs)
 		if err != nil {
 			return nil, fmt.Errorf("fault %d: %w", i, err)
-		}
-		model, err := parseModel(fs.Model)
-		if err != nil {
-			return nil, fmt.Errorf("fault %d: %w", i, err)
-		}
-		if int(branch) >= d.NumBranches() {
-			return nil, fmt.Errorf("fault %d: design %s has no branch %q", i, d.Mod.Name, branch)
-		}
-		if fs.Sbox >= d.Spec.NumSboxes() || fs.Bit >= d.Spec.SboxBits {
-			return nil, fmt.Errorf("fault %d: S-box %d bit %d out of range for %s", i, fs.Sbox, fs.Bit, d.Spec.Name)
 		}
 		cycle := d.LastRoundCycle()
 		if fs.Cycle != nil {

@@ -254,7 +254,7 @@ type distJob struct {
 	completed       map[int]completedRange // firstBatch -> out-of-order results
 	failed          string
 
-	// notify wakes the job goroutine (runCampaignDistributed); it is
+	// notify wakes the job goroutine (executeCampaign); it is
 	// capacity-1 and sends never block, so the coordinator can signal
 	// while holding its mutex.
 	notify chan struct{}

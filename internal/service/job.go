@@ -20,11 +20,13 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/leakage"
 	"repro/internal/lint"
 	"repro/internal/power"
 	"repro/internal/prove"
+	"repro/internal/spn"
 )
 
 // Kind enumerates the job types the service executes. Together they make
@@ -283,6 +285,28 @@ type JobRequest struct {
 // Validate rejects malformed requests before they reach the queue, so a
 // submission error is always a synchronous 400 rather than a failed job.
 func (r *JobRequest) Validate() error {
+	var spec *spn.Spec
+	var scheme core.Scheme
+	if r.Design.Netlist != "" {
+		if r.Kind != KindArea && r.Kind != KindLint && r.Kind != KindProve {
+			return fmt.Errorf("%s jobs need a synthesised design, not an inline netlist", r.Kind)
+		}
+	} else {
+		s, opts, err := ParseDesign(r.Design)
+		if err != nil {
+			return err
+		}
+		spec, scheme = s, opts.Scheme
+	}
+	checkFaults := func(faults []FaultSpec) error {
+		for i, f := range faults {
+			if _, _, err := checkFault(spec, scheme, f); err != nil {
+				return fmt.Errorf("fault %d: %w", i, err)
+			}
+		}
+		return nil
+	}
+
 	switch r.Kind {
 	case KindCampaign:
 		c := r.Campaign
@@ -310,17 +334,7 @@ func (r *JobRequest) Validate() error {
 		if len(c.Faults) == 0 {
 			return fmt.Errorf("campaign needs at least one fault")
 		}
-		for i, f := range c.Faults {
-			if _, err := parseBranch(f.Branch); err != nil {
-				return fmt.Errorf("fault %d: %w", i, err)
-			}
-			if _, err := parseModel(f.Model); err != nil {
-				return fmt.Errorf("fault %d: %w", i, err)
-			}
-			if f.Sbox < 0 || f.Bit < 0 {
-				return fmt.Errorf("fault %d: negative S-box coordinates", i)
-			}
-		}
+		return checkFaults(c.Faults)
 	case KindDFA, KindSIFA, KindFTA:
 		if r.Attack == nil {
 			return fmt.Errorf("%s job needs an attack spec", r.Kind)
@@ -342,11 +356,8 @@ func (r *JobRequest) Validate() error {
 				return err
 			}
 			if m.Cone != nil {
-				if _, err := parseBranch(m.Cone.Branch); err != nil {
+				if _, _, err := checkFault(spec, scheme, *m.Cone); err != nil {
 					return fmt.Errorf("cone: %w", err)
-				}
-				if m.Cone.Sbox < 0 || m.Cone.Bit < 0 {
-					return fmt.Errorf("cone: negative S-box coordinates")
 				}
 			}
 		case "persistent":
@@ -378,17 +389,7 @@ func (r *JobRequest) Validate() error {
 		if _, ok := power.ParseModel(l.Model); !ok {
 			return fmt.Errorf("unknown power model %q", l.Model)
 		}
-		for i, f := range l.Faults {
-			if _, err := parseBranch(f.Branch); err != nil {
-				return fmt.Errorf("fault %d: %w", i, err)
-			}
-			if _, err := parseModel(f.Model); err != nil {
-				return fmt.Errorf("fault %d: %w", i, err)
-			}
-			if f.Sbox < 0 || f.Bit < 0 {
-				return fmt.Errorf("fault %d: negative S-box coordinates", i)
-			}
-		}
+		return checkFaults(l.Faults)
 	case KindArea, KindLint:
 		// Design-only kinds.
 	case KindProve:
@@ -404,14 +405,6 @@ func (r *JobRequest) Validate() error {
 		}
 	default:
 		return fmt.Errorf("unknown job kind %q", r.Kind)
-	}
-	if r.Design.Netlist != "" && r.Kind != KindArea && r.Kind != KindLint && r.Kind != KindProve {
-		return fmt.Errorf("%s jobs need a synthesised design, not an inline netlist", r.Kind)
-	}
-	if r.Design.Netlist == "" {
-		if _, _, err := ParseDesign(r.Design); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -2,12 +2,10 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/plan"
-	"repro/internal/store"
 )
 
 // placement is one planned multifault adversary: its stable plan index, the
@@ -22,11 +20,6 @@ type placement struct {
 	spec   *CampaignSpec
 }
 
-// placementExec executes one placement campaign to completion and returns
-// its tally. runMultiFault binds it to the local store-spliced path or to
-// the distributed lease fabric, so planning and sweeping are written once.
-type placementExec func(ctx context.Context, id string, cs *CampaignSpec) (CampaignResult, error)
-
 // runMultiFault executes a multifault job: the plan is generated (and
 // optionally pruned against singleton evidence), then walked one placement
 // at a time in plan order. Each placement is itself a seed-deterministic
@@ -40,33 +33,23 @@ func (s *Service) runMultiFault(ctx context.Context, j *job) (*JobResult, error)
 	if err != nil {
 		return nil, err
 	}
-	m := j.req.MultiFault
-
-	exec := placementExec(func(ctx context.Context, id string, cs *CampaignSpec) (CampaignResult, error) {
-		if s.dist != nil {
-			return s.runPlacementDistributed(ctx, id, j.req.Design, d, cs)
-		}
-		return s.runPlacement(ctx, d, cs)
-	})
-
-	res, placements, err := s.multiFaultPlan(ctx, j.id, d, m, exec)
+	res, placements, err := s.multiFaultPlan(ctx, j, d)
 	if err != nil {
 		return nil, err
 	}
 
-	s.mu.Lock()
 	start := 0
-	if j.checkpoint != nil && j.checkpoint.MultiFault != nil {
-		cp := j.checkpoint.MultiFault
-		start = cp.NextTuple
-		for _, tr := range cp.Done {
-			res.Accumulate(tr)
+	if err := s.resume(j, func(cp *Checkpoint) (Progress, error) {
+		if cp != nil && cp.MultiFault != nil {
+			start = cp.MultiFault.NextTuple
+			for _, tr := range cp.MultiFault.Done {
+				res.Accumulate(tr)
+			}
 		}
-		j.resumed++
-		s.Metrics.JobsResumed.Inc()
+		return Progress{Done: start, Total: res.Planned, Counts: res.Totals}, nil
+	}); err != nil {
+		return nil, err
 	}
-	j.progress = &Progress{Done: start, Total: res.Planned, Counts: res.Totals}
-	s.mu.Unlock()
 
 	for idx := start; idx < len(placements); idx++ {
 		if err := ctx.Err(); err != nil {
@@ -75,7 +58,7 @@ func (s *Service) runMultiFault(ctx context.Context, j *job) (*JobResult, error)
 		pl := placements[idx]
 		tr := TupleResult{Index: pl.index, Sites: pl.sites, Entry: pl.entry, Mask: U64(pl.mask), Pruned: pl.pruned}
 		if !pl.pruned {
-			counts, err := exec(ctx, fmt.Sprintf("%s/t%d", j.id, pl.index), pl.spec)
+			counts, err := s.placementCounts(ctx, j, d, fmt.Sprintf("t%d", pl.index), pl.spec)
 			if err != nil {
 				return nil, err
 			}
@@ -86,17 +69,26 @@ func (s *Service) runMultiFault(ctx context.Context, j *job) (*JobResult, error)
 		// result keeps growing while the persisted record must stay a frozen
 		// snapshot of this boundary.
 		done := append([]TupleResult(nil), res.Tuples...)
-		s.mu.Lock()
-		j.checkpoint = &Checkpoint{MultiFault: &MultiFaultCheckpoint{NextTuple: idx + 1, Done: done}}
-		j.progress = &Progress{Done: idx + 1, Total: res.Planned, Counts: res.Totals}
-		s.Metrics.Checkpoints.Inc()
-		s.persistLocked(j)
-		p := *j.progress
-		s.publishLocked(j, Event{Type: "progress", Progress: &p})
-		s.mu.Unlock()
+		s.checkpoint(j, &Checkpoint{MultiFault: &MultiFaultCheckpoint{NextTuple: idx + 1, Done: done}},
+			Progress{Done: idx + 1, Total: res.Planned, Counts: res.Totals})
 		_ = s.results.Sync()
 	}
 	return &JobResult{MultiFault: res}, nil
+}
+
+// placementCounts executes one placement campaign — a plan tuple or a
+// prune-prepass singleton — to completion through executeCampaign. In the
+// lease fabric it runs as the synthetic campaign job "<job>/<name>".
+// Placement boundaries, not batch chunks, are the multifault job's
+// checkpoint grain: an interrupted placement re-executes on resume and its
+// finished batches splice back in from the store.
+func (s *Service) placementCounts(ctx context.Context, j *job, d *core.Design, name string, cs *CampaignSpec) (CampaignResult, error) {
+	camp, err := buildCampaign(d, cs, s.cfg.engineDefaults())
+	if err != nil {
+		return CampaignResult{}, err
+	}
+	req := JobRequest{Kind: KindCampaign, Design: j.req.Design, Campaign: cs}
+	return s.executeCampaign(ctx, j.id+"/"+name, req, camp, s.address(camp), Checkpoint{}, nil)
 }
 
 // multiFaultPlan expands a validated multifault spec against the built
@@ -106,7 +98,8 @@ func (s *Service) runMultiFault(ctx context.Context, j *job) (*JobResult, error)
 // oracle is computed from seed-deterministic singleton campaigns — so two
 // services (or one service across a drain/resume) always agree on which
 // index names which placement and which placements prune.
-func (s *Service) multiFaultPlan(ctx context.Context, jobID string, d *core.Design, m *MultiFaultSpec, exec placementExec) (*MultiFaultResult, []placement, error) {
+func (s *Service) multiFaultPlan(ctx context.Context, j *job, d *core.Design) (*MultiFaultResult, []placement, error) {
+	m := j.req.MultiFault
 	res := &MultiFaultResult{Mode: m.Mode}
 	if res.Mode == "" {
 		res.Mode = "kfault"
@@ -162,7 +155,7 @@ func (s *Service) multiFaultPlan(ctx context.Context, jobID string, d *core.Desi
 
 	var inert map[int]bool
 	if m.Prune {
-		inert, err = s.inertSites(ctx, jobID, p.Sites, m, exec)
+		inert, err = s.inertSites(ctx, j, d, p.Sites)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -209,7 +202,8 @@ func siteFault(site plan.Site, m *MultiFaultSpec) FaultSpec {
 // use the sweep's own runs/seed/key, so their store addresses coincide with
 // any equivalent standalone campaign and a resumed or repeated sweep replays
 // them instead of re-simulating.
-func (s *Service) inertSites(ctx context.Context, jobID string, sites []plan.Site, m *MultiFaultSpec, exec placementExec) (map[int]bool, error) {
+func (s *Service) inertSites(ctx context.Context, j *job, d *core.Design, sites []plan.Site) (map[int]bool, error) {
+	m := j.req.MultiFault
 	inert := make(map[int]bool)
 	for i, site := range sites {
 		cs := &CampaignSpec{
@@ -219,7 +213,7 @@ func (s *Service) inertSites(ctx context.Context, jobID string, sites []plan.Sit
 			Faults:  []FaultSpec{siteFault(site, m)},
 			Workers: m.Workers,
 		}
-		counts, err := exec(ctx, fmt.Sprintf("%s/s%d", jobID, i), cs)
+		counts, err := s.placementCounts(ctx, j, d, fmt.Sprintf("s%d", i), cs)
 		if err != nil {
 			return nil, err
 		}
@@ -228,66 +222,4 @@ func (s *Service) inertSites(ctx context.Context, jobID string, sites []plan.Sit
 		}
 	}
 	return inert, nil
-}
-
-// runPlacement executes one placement campaign in-process with store
-// splicing — executeRange over the whole batch range, the same merge the
-// campaign job kind uses.
-func (s *Service) runPlacement(ctx context.Context, d *core.Design, cs *CampaignSpec) (CampaignResult, error) {
-	camp, err := buildCampaign(d, cs, s.cfg.engineDefaults())
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	addr, addrErr := campaignAddress(camp)
-	useStore := addrErr == nil && s.results != nil
-	var digest store.Digest
-	if useStore {
-		digest = addr.Digest()
-	}
-	delta, err := s.executeRange(ctx, camp, digest, useStore, 0, camp.NumBatches())
-	s.Metrics.RunsSimulated.Add(int64(delta.simulatedRuns))
-	s.Metrics.RunsReplayed.Add(int64(delta.replayedRuns))
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	return delta.counts, nil
-}
-
-// runPlacementDistributed executes one placement campaign through the lease
-// fabric: the placement registers as a synthetic campaign job ("<job>/t<i>"
-// or "<job>/s<i>") whose leases workers pull exactly like a first-class
-// campaign's, and the placement completes when the merge cursor covers every
-// batch. Placement boundaries, not lease boundaries, are the multifault
-// job's checkpoint grain: an interrupted placement re-registers on resume
-// and its finished batches splice back in from the store.
-func (s *Service) runPlacementDistributed(ctx context.Context, id string, ds DesignSpec, d *core.Design, cs *CampaignSpec) (CampaignResult, error) {
-	camp, err := buildCampaign(d, cs, s.cfg.engineDefaults())
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	addr, addrErr := campaignAddress(camp)
-	useStore := addrErr == nil && s.results != nil
-	var digest store.Digest
-	if useStore {
-		digest = addr.Digest()
-	}
-	req := JobRequest{Kind: KindCampaign, Design: ds, Campaign: cs}
-	dj := s.dist.register(id, req, 0, camp.NumBatches(), CampaignResult{}, camp.Runs, digest, useStore)
-	defer s.dist.unregister(id)
-	for {
-		select {
-		case <-ctx.Done():
-			return CampaignResult{}, ctx.Err()
-		case <-dj.notify:
-			p := s.dist.snapshot(id)
-			if p.failed != "" {
-				return CampaignResult{}, errors.New(p.failed)
-			}
-			if p.done {
-				s.Metrics.RunsSimulated.Add(int64(p.acc.Total - p.replayedRuns))
-				s.Metrics.RunsReplayed.Add(int64(p.replayedRuns))
-				return p.acc, nil
-			}
-		}
-	}
 }

@@ -337,7 +337,7 @@ type runProvenance struct {
 // beginRunRecord writes the "running" provenance record for one campaign
 // execution. Nil-safe throughout: without a result store it degrades to
 // pure bookkeeping that is never persisted.
-func (s *Service) beginRunRecord(j *job, camp *fault.Campaign, addr store.CampaignKey, digest store.Digest, haveAddr bool) *runProvenance {
+func (s *Service) beginRunRecord(j *job, camp *fault.Campaign, at storeAddr) *runProvenance {
 	p := &runProvenance{s: s, rec: store.RunRecord{
 		ID:        j.id,
 		JobID:     j.id,
@@ -351,10 +351,10 @@ func (s *Service) beginRunRecord(j *job, camp *fault.Campaign, addr store.Campai
 	if b, err := json.Marshal(j.req); err == nil {
 		p.rec.Request = b
 	}
-	if haveAddr {
-		p.rec.Netlist = addr.Netlist.String()
-		p.rec.Campaign = digest.String()
-		p.rec.Engine = addr.Engine
+	if at.ok {
+		p.rec.Netlist = at.key.Netlist.String()
+		p.rec.Campaign = at.digest.String()
+		p.rec.Engine = at.key.Engine
 	}
 	_ = s.results.PutRun(p.rec)
 	return p

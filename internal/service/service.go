@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/fault"
-	"repro/internal/leakage"
 	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/prove"
@@ -495,11 +494,7 @@ func (s *Service) runJob(j *job) {
 	var err error
 	switch j.req.Kind {
 	case KindCampaign:
-		if s.dist != nil {
-			result, err = s.runCampaignDistributed(ctx, j)
-		} else {
-			result, err = s.runCampaign(ctx, j)
-		}
+		result, err = s.runCampaign(ctx, j)
 	case KindDFA, KindSIFA, KindFTA:
 		result, err = s.runAttack(ctx, j)
 	case KindArea:
@@ -536,81 +531,163 @@ func (s *Service) runJob(j *job) {
 	}
 }
 
-// runCampaign executes a campaign job in checkpoint-sized chunks. Each
-// chunk is a contiguous batch range of the seed-deterministic campaign;
-// after every chunk the accumulated counts and the next batch index are
-// persisted and a progress event is published. Within a chunk the result
-// store is consulted per batch: cached batches are spliced in without
-// simulation, uncached ones are executed and their tallies stored, and the
-// merge stays bit-identical to an uninterrupted run because both sources
-// carry the identical (seed, batch)-deterministic counts.
-func (s *Service) runCampaign(ctx context.Context, j *job) (*JobResult, error) {
-	d, err := BuildDesign(j.req.Design)
-	if err != nil {
-		return nil, err
-	}
-	camp, err := buildCampaign(d, j.req.Campaign, s.cfg.engineDefaults())
-	if err != nil {
-		return nil, err
-	}
-
-	// An address failure disables replay for this job, never fails it: the
-	// store is an accelerator, not a dependency.
-	addr, addrErr := campaignAddress(camp)
-	useStore := addrErr == nil && s.results != nil
-	var digest store.Digest
-	if useStore {
-		digest = addr.Digest()
-	}
-
-	batches := camp.NumBatches()
-	chunk := (s.cfg.CheckpointEveryRuns + sim.Lanes - 1) / sim.Lanes
-	if chunk < 1 {
-		chunk = 1
-	}
-
+// resume starts a resumable job's execution from its checkpoint. restore
+// folds the checkpoint — nil on a fresh start — into the kind's
+// accumulator and returns the progress it represents, which becomes the
+// job's starting progress; a restored checkpoint counts as one resume.
+func (s *Service) resume(j *job, restore func(cp *Checkpoint) (Progress, error)) error {
 	s.mu.Lock()
-	var acc CampaignResult
-	start := 0
+	defer s.mu.Unlock()
+	p, err := restore(j.checkpoint)
+	if err != nil {
+		return err
+	}
 	if j.checkpoint != nil {
-		start = j.checkpoint.NextBatch
-		acc = j.checkpoint.Counts
 		j.resumed++
 		s.Metrics.JobsResumed.Inc()
 	}
-	j.progress = &Progress{Done: acc.Total, Total: camp.Runs, Counts: acc}
-	s.mu.Unlock()
+	j.progress = &p
+	return nil
+}
 
-	prov := s.beginRunRecord(j, camp, addr, digest, useStore)
-	for b := start; b < batches; {
-		end := b + chunk
-		if end > batches {
-			end = batches
+// checkpoint records one boundary of a resumable job: cp and p become the
+// job's latest checkpoint and progress, the record is persisted and the
+// progress event published. cp must be a frozen snapshot — the persisted
+// record may not share state the job keeps mutating.
+func (s *Service) checkpoint(j *job, cp *Checkpoint, p Progress) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.checkpoint = cp
+	j.progress = &p
+	s.Metrics.Checkpoints.Inc()
+	s.persistLocked(j)
+	s.publishLocked(j, Event{Type: "progress", Progress: &p})
+}
+
+// runCampaign executes a campaign job through executeCampaign, resuming
+// from its checkpoint. Every advance of the merged batch prefix is a
+// checkpoint, so a drained or killed job resumes at the last one; the
+// run record carries the execution's replay/simulation split.
+func (s *Service) runCampaign(ctx context.Context, j *job) (*JobResult, error) {
+	camp, err := BuildCampaign(j.req.Design, j.req.Campaign, s.cfg.engineDefaults())
+	if err != nil {
+		return nil, err
+	}
+	var from Checkpoint
+	if err := s.resume(j, func(cp *Checkpoint) (Progress, error) {
+		if cp != nil {
+			from = *cp
 		}
-		delta, execErr := s.executeRange(ctx, camp, digest, useStore, b, end)
-		acc.Accumulate(delta.counts)
-		prov.add(delta.replayedBatches, delta.completed-delta.replayedBatches)
-		s.mu.Lock()
-		j.checkpoint = &Checkpoint{NextBatch: b + delta.completed, Counts: acc}
-		j.progress = &Progress{Done: acc.Total, Total: camp.Runs, Counts: acc}
-		s.Metrics.RunsSimulated.Add(int64(delta.simulatedRuns))
-		s.Metrics.RunsReplayed.Add(int64(delta.replayedRuns))
-		s.Metrics.Checkpoints.Inc()
-		s.persistLocked(j)
-		p := *j.progress
-		s.publishLocked(j, Event{Type: "progress", Progress: &p})
-		s.mu.Unlock()
+		return Progress{Done: from.Counts.Total, Total: camp.Runs, Counts: from.Counts}, nil
+	}); err != nil {
+		return nil, err
+	}
+
+	at := s.address(camp)
+	prov := s.beginRunRecord(j, camp, at)
+	res, err := s.executeCampaign(ctx, j.id, j.req, camp, at, from, func(cp Checkpoint, replayedBatches, simulatedBatches int) {
+		prov.add(replayedBatches, simulatedBatches)
+		s.checkpoint(j, &cp, Progress{Done: cp.Counts.Total, Total: camp.Runs, Counts: cp.Counts})
 		// Checkpoint cadence doubles as store durability cadence.
 		_ = s.results.Sync()
-		if execErr != nil {
-			prov.finish(execErr, nil)
-			return nil, execErr
-		}
-		b = end
+	})
+	if err != nil {
+		prov.finish(err, nil)
+		return nil, err
 	}
-	cr := acc
-	prov.finish(nil, &cr)
-	return &JobResult{Campaign: &cr}, nil
+	prov.finish(nil, &res)
+	return &JobResult{Campaign: &res}, nil
+}
+
+// storeAddr is a campaign's content address in the result store. ok is
+// false without a store or when the address cannot be computed; every
+// store interaction is gated on it.
+type storeAddr struct {
+	key    store.CampaignKey
+	digest store.Digest
+	ok     bool
+}
+
+// address resolves a built campaign's store address. An address failure
+// disables replay for the execution, never fails it: the store is an
+// accelerator, not a dependency.
+func (s *Service) address(camp *fault.Campaign) storeAddr {
+	if s.results == nil {
+		return storeAddr{}
+	}
+	key, err := campaignAddress(camp)
+	if err != nil {
+		return storeAddr{}
+	}
+	return storeAddr{key: key, digest: key.Digest(), ok: true}
+}
+
+// executeCampaign runs batches [from.NextBatch, NumBatches) of a built
+// campaign on top of from.Counts, the folded counts of the batches before
+// it, and returns the whole campaign's tally. Without the distributed
+// fabric it executes in-process in CheckpointEveryRuns-sized chunks, each
+// spliced from the result store where cached (executeRange); as a
+// coordinator it registers the range under id — req is the campaign
+// request lease grants ship to workers — and follows the merge cursor.
+// advance, when set, is called after every chunk or cursor advance, and
+// when execution stops early, with the resume point reached so far and
+// how the batches since the last call split between store replay and
+// fresh simulation. Results are bit-identical across both paths and any
+// cut points: batch b's outcome depends only on (seed, b).
+func (s *Service) executeCampaign(ctx context.Context, id string, req JobRequest, camp *fault.Campaign, at storeAddr, from Checkpoint, advance func(cp Checkpoint, replayedBatches, simulatedBatches int)) (CampaignResult, error) {
+	acc := from.Counts
+	step := func(next int, d rangeDelta) {
+		s.Metrics.RunsSimulated.Add(int64(d.simulatedRuns))
+		s.Metrics.RunsReplayed.Add(int64(d.replayedRuns))
+		if advance != nil {
+			advance(Checkpoint{NextBatch: next, Counts: acc}, d.replayedBatches, d.completed-d.replayedBatches)
+		}
+	}
+	batches := camp.NumBatches()
+
+	if s.dist == nil {
+		chunk := max((s.cfg.CheckpointEveryRuns+sim.Lanes-1)/sim.Lanes, 1)
+		for b := from.NextBatch; b < batches; b += chunk {
+			d, err := s.executeRange(ctx, camp, at, b, min(b+chunk, batches))
+			acc.Accumulate(d.counts)
+			step(b+d.completed, d)
+			if err != nil {
+				return acc, err
+			}
+		}
+		return acc, nil
+	}
+
+	// The coordinator pre-completes cached batches at register time, so
+	// the replay split is read off the merged state.
+	dj := s.dist.register(id, req, from.NextBatch, batches, acc, camp.Runs, at.digest, at.ok)
+	defer s.dist.unregister(id)
+	last := distProgress{cursor: from.NextBatch, acc: acc}
+	for {
+		select {
+		case <-ctx.Done():
+		case <-dj.notify:
+		}
+		p := s.dist.snapshot(id)
+		err := ctx.Err()
+		if err == nil && p.failed != "" {
+			err = errors.New(p.failed)
+		}
+		if p.cursor != last.cursor || err != nil {
+			acc = p.acc
+			replayedRuns := p.replayedRuns - last.replayedRuns
+			step(p.cursor, rangeDelta{
+				completed:       p.cursor - last.cursor,
+				replayedBatches: p.replayedBatches - last.replayedBatches,
+				replayedRuns:    replayedRuns,
+				simulatedRuns:   p.acc.Total - last.acc.Total - replayedRuns,
+			})
+			last = p
+		}
+		if err != nil || p.done {
+			return acc, err
+		}
+	}
 }
 
 // rangeDelta is one executeRange outcome: the merged counts of the range's
@@ -632,13 +709,13 @@ type rangeDelta struct {
 // a per-batch hook that stores each fresh tally under its content address.
 // Like ExecuteBatches, the returned delta covers a contiguous prefix of the
 // range on cancellation.
-func (s *Service) executeRange(ctx context.Context, camp *fault.Campaign, digest store.Digest, useStore bool, first, last int) (rangeDelta, error) {
+func (s *Service) executeRange(ctx context.Context, camp *fault.Campaign, at storeAddr, first, last int) (rangeDelta, error) {
 	var d rangeDelta
 	var cached []*store.Counts
-	if useStore {
+	if at.ok {
 		cached = make([]*store.Counts, last-first)
 		for b := first; b < last; b++ {
-			k := store.BatchKey{Campaign: digest, Batch: b, Runs: camp.BatchRuns(b)}
+			k := store.BatchKey{Campaign: at.digest, Batch: b, Runs: camp.BatchRuns(b)}
 			if c, ok := s.results.GetBatch(k); ok {
 				cc := c
 				cached[b-first] = &cc
@@ -661,8 +738,8 @@ func (s *Service) executeRange(ctx context.Context, camp *fault.Campaign, digest
 			end++
 		}
 		res, execErr := camp.ExecuteBatchesFunc(ctx, b, end, nil, func(bi int, r fault.Result) {
-			if useStore {
-				k := store.BatchKey{Campaign: digest, Batch: bi, Runs: r.Total}
+			if at.ok {
+				k := store.BatchKey{Campaign: at.digest, Batch: bi, Runs: r.Total}
 				_ = s.results.PutBatch(k, faultCounts(r)) // conflicts/failures count in the store's own instruments
 			}
 		})
@@ -681,102 +758,6 @@ func (s *Service) executeRange(ctx context.Context, camp *fault.Campaign, digest
 		b = end
 	}
 	return d, nil
-}
-
-// runCampaignDistributed executes a campaign job through the lease fabric:
-// the batch range is registered with the coordinator, workers pull and
-// execute leases, and this goroutine just follows the merge cursor —
-// checkpointing and publishing progress exactly like the local path, and
-// returning the merged result once the contiguous prefix covers every
-// batch. On drain or cancel the merged prefix is checkpointed so only the
-// remainder is re-leased later; determinism makes the outcome independent
-// of where the cut lands.
-func (s *Service) runCampaignDistributed(ctx context.Context, j *job) (*JobResult, error) {
-	d, err := BuildDesign(j.req.Design)
-	if err != nil {
-		return nil, err
-	}
-	camp, err := buildCampaign(d, j.req.Campaign, s.cfg.engineDefaults())
-	if err != nil {
-		return nil, err
-	}
-	batches := camp.NumBatches()
-
-	addr, addrErr := campaignAddress(camp)
-	useStore := addrErr == nil && s.results != nil
-	var digest store.Digest
-	if useStore {
-		digest = addr.Digest()
-	}
-
-	s.mu.Lock()
-	var acc CampaignResult
-	start := 0
-	if j.checkpoint != nil {
-		start = j.checkpoint.NextBatch
-		acc = j.checkpoint.Counts
-		j.resumed++
-		s.Metrics.JobsResumed.Inc()
-	}
-	j.progress = &Progress{Done: acc.Total, Total: camp.Runs, Counts: acc}
-	s.mu.Unlock()
-
-	prov := s.beginRunRecord(j, camp, addr, digest, useStore)
-	dj := s.dist.register(j.id, j.req, start, batches, acc, camp.Runs, digest, useStore)
-	defer s.dist.unregister(j.id)
-
-	last := distProgress{cursor: start, acc: acc}
-	finish := func(err error, res *CampaignResult) {
-		_ = s.results.Sync()
-		prov.finish(err, res)
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			// Drain or user cancel: persist the merged contiguous prefix;
-			// the caller's requeue/cancel handling proceeds from there.
-			p := s.dist.snapshot(j.id)
-			s.mu.Lock()
-			j.checkpoint = &Checkpoint{NextBatch: p.cursor, Counts: p.acc}
-			s.persistLocked(j)
-			s.mu.Unlock()
-			prov.add(p.replayedBatches, (p.cursor-start)-p.replayedBatches)
-			finish(ctx.Err(), nil)
-			return nil, ctx.Err()
-		case <-dj.notify:
-			p := s.dist.snapshot(j.id)
-			if p.failed != "" {
-				prov.add(p.replayedBatches, (p.cursor-start)-p.replayedBatches)
-				finish(errors.New(p.failed), nil)
-				return nil, errors.New(p.failed)
-			}
-			if p.cursor != last.cursor {
-				// The merged prefix advanced; split the new runs between
-				// replayed (batches the store pre-completed at register
-				// time) and simulated (worker-executed leases).
-				runs := p.acc.Total - last.acc.Total
-				replayed := p.replayedRuns - last.replayedRuns
-				last = p
-				s.mu.Lock()
-				j.checkpoint = &Checkpoint{NextBatch: p.cursor, Counts: p.acc}
-				j.progress = &Progress{Done: p.acc.Total, Total: camp.Runs, Counts: p.acc}
-				s.Metrics.RunsSimulated.Add(int64(runs - replayed))
-				s.Metrics.RunsReplayed.Add(int64(replayed))
-				s.Metrics.Checkpoints.Inc()
-				s.persistLocked(j)
-				pr := *j.progress
-				s.publishLocked(j, Event{Type: "progress", Progress: &pr})
-				s.mu.Unlock()
-				_ = s.results.Sync()
-			}
-			if p.done {
-				cr := p.acc
-				prov.add(p.replayedBatches, (p.cursor-start)-p.replayedBatches)
-				finish(nil, &cr)
-				return &JobResult{Campaign: &cr}, nil
-			}
-		}
-	}
 }
 
 // runAttack executes the one-shot attack kinds. The drivers are not
@@ -945,19 +926,18 @@ func (s *Service) runProve(ctx context.Context, j *job) (*JobResult, error) {
 	total := len(locs) * len(models)
 
 	res := &ProveResult{Module: m.Name, Budget: a.Budget()}
-	s.mu.Lock()
 	start := 0
-	if j.checkpoint != nil && j.checkpoint.Prove != nil {
-		cp := j.checkpoint.Prove
-		start = cp.NextPair
-		for _, l := range cp.Done {
-			res.Accumulate(l)
+	if err := s.resume(j, func(cp *Checkpoint) (Progress, error) {
+		if cp != nil && cp.Prove != nil {
+			start = cp.Prove.NextPair
+			for _, l := range cp.Prove.Done {
+				res.Accumulate(l)
+			}
 		}
-		j.resumed++
-		s.Metrics.JobsResumed.Inc()
+		return Progress{Done: start, Total: total}, nil
+	}); err != nil {
+		return nil, err
 	}
-	j.progress = &Progress{Done: start, Total: total}
-	s.mu.Unlock()
 
 	for pair := start; pair < total; pair++ {
 		if err := ctx.Err(); err != nil {
@@ -972,14 +952,7 @@ func (s *Service) runProve(ctx context.Context, j *job) (*JobResult, error) {
 		// result keeps growing while the persisted record must stay a
 		// frozen snapshot of this boundary.
 		done := append([]ProveLocation(nil), res.Locations...)
-		s.mu.Lock()
-		j.checkpoint = &Checkpoint{Prove: &ProveCheckpoint{NextPair: pair + 1, Done: done}}
-		j.progress = &Progress{Done: pair + 1, Total: total}
-		s.Metrics.Checkpoints.Inc()
-		s.persistLocked(j)
-		p := *j.progress
-		s.publishLocked(j, Event{Type: "progress", Progress: &p})
-		s.mu.Unlock()
+		s.checkpoint(j, &Checkpoint{Prove: &ProveCheckpoint{NextPair: pair + 1, Done: done}}, Progress{Done: pair + 1, Total: total})
 	}
 	return &JobResult{Prove: res}, nil
 }
@@ -996,21 +969,16 @@ func (s *Service) runLeakage(ctx context.Context, j *job) (*JobResult, error) {
 		return nil, err
 	}
 	total := j.req.Leakage.Pairs
-
-	s.mu.Lock()
-	if j.checkpoint != nil && j.checkpoint.Leakage != nil {
-		cp := j.checkpoint.Leakage
-		if err := ev.Restore(leakage.State{
-			NextBatch: cp.NextBatch, Discarded: cp.Discarded, TTest: cp.TTest,
-		}); err != nil {
-			s.mu.Unlock()
-			return nil, err
+	if err := s.resume(j, func(cp *Checkpoint) (Progress, error) {
+		if cp != nil && cp.Leakage != nil {
+			if err := ev.Restore(*cp.Leakage); err != nil {
+				return Progress{}, err
+			}
 		}
-		j.resumed++
-		s.Metrics.JobsResumed.Inc()
+		return Progress{Done: ev.PairsDone(), Total: total}, nil
+	}); err != nil {
+		return nil, err
 	}
-	j.progress = &Progress{Done: ev.PairsDone(), Total: total}
-	s.mu.Unlock()
 
 	for !ev.Done() {
 		if err := ctx.Err(); err != nil {
@@ -1020,16 +988,7 @@ func (s *Service) runLeakage(ctx context.Context, j *job) (*JobResult, error) {
 		// State() deep-copies the accumulator, so the persisted record
 		// stays a frozen snapshot of this batch boundary.
 		st := ev.State()
-		s.mu.Lock()
-		j.checkpoint = &Checkpoint{Leakage: &LeakageCheckpoint{
-			NextBatch: st.NextBatch, Discarded: st.Discarded, TTest: st.TTest,
-		}}
-		j.progress = &Progress{Done: ev.PairsDone(), Total: total}
-		s.Metrics.Checkpoints.Inc()
-		s.persistLocked(j)
-		p := *j.progress
-		s.publishLocked(j, Event{Type: "progress", Progress: &p})
-		s.mu.Unlock()
+		s.checkpoint(j, &Checkpoint{Leakage: &st}, Progress{Done: ev.PairsDone(), Total: total})
 	}
 	return &JobResult{Leakage: NewLeakageResult(ev.Result())}, nil
 }

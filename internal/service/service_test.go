@@ -99,6 +99,9 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 		{"campaign no faults", JobRequest{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 10}}},
 		{"campaign bad model", JobRequest{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 10, Faults: []FaultSpec{{Model: "gamma-ray"}}}}},
 		{"campaign bad branch", JobRequest{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 10, Faults: []FaultSpec{{Branch: "imaginary"}}}}},
+		{"campaign S-box out of range", JobRequest{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 10, Faults: []FaultSpec{{Sbox: 99}}}}},
+		{"leakage bit out of range", JobRequest{Kind: KindLeakage, Leakage: &LeakageSpec{Pairs: 10, Faults: []FaultSpec{{Bit: 7}}}}},
+		{"multifault cone on absent branch", JobRequest{Kind: KindMultiFault, Design: DesignSpec{Scheme: "three-in-one"}, MultiFault: &MultiFaultSpec{RunsPerTuple: 8, Cone: &FaultSpec{Branch: "redundant2"}}}},
 		{"campaign with netlist", JobRequest{Kind: KindCampaign, Design: DesignSpec{Netlist: "module m\nend\n"}, Campaign: &CampaignSpec{Runs: 10, Faults: []FaultSpec{{}}}}},
 		{"attack without spec", JobRequest{Kind: KindDFA}},
 		{"bad cipher", JobRequest{Kind: KindLint, Design: DesignSpec{Cipher: "des"}}},

@@ -297,12 +297,8 @@ var ProveBudget = &Analyzer{
 	},
 }
 
-// v1RoutesDir is the package whose HTTP surface is versioned, and
-// v1RoutesShim the one file allowed to register unversioned aliases.
-const (
-	v1RoutesDir  = "internal/service/"
-	v1RoutesShim = "http_legacy.go"
-)
+// v1RoutesDir is the package whose HTTP surface is versioned.
+const v1RoutesDir = "internal/service/"
 
 // muxRegisterFuncs are the mux methods whose first argument is a route
 // pattern.
@@ -313,20 +309,14 @@ var muxRegisterFuncs = map[string]bool{
 
 // V1Routes keeps the service's HTTP surface versioned: a string-literal
 // route pattern registered in internal/service must live under /v1/.
-// The one sanctioned exception is the legacy-alias shim http_legacy.go,
-// which carries the deprecated unversioned paths (Deprecation header, old
-// flat error envelope); routing anywhere else must go through /v1 so the
-// deprecation story stays enforceable. cmd/ binaries are out of scope —
-// the daemon legitimately mounts "/" and /debug/pprof/.
+// cmd/ binaries are out of scope — the daemon legitimately mounts "/" and
+// /debug/pprof/.
 var V1Routes = &Analyzer{
 	Name: "v1routes",
-	Doc:  "require /v1/ route patterns in internal/service outside the legacy-alias shim http_legacy.go",
+	Doc:  "require /v1/ route patterns in internal/service",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
 			if f.Test || !strings.HasPrefix(f.Dir(), v1RoutesDir) {
-				continue
-			}
-			if strings.HasSuffix(f.Path, "/"+v1RoutesShim) {
 				continue
 			}
 			ast.Inspect(f.AST, func(n ast.Node) bool {
@@ -353,7 +343,7 @@ var V1Routes = &Analyzer{
 					path = strings.TrimSpace(pattern[i+1:])
 				}
 				if !strings.HasPrefix(path, "/v1/") {
-					p.Reportf(lit.Pos(), "unversioned route %q in internal/service: version it under /v1/ (legacy aliases belong in %s)", pattern, v1RoutesShim)
+					p.Reportf(lit.Pos(), "unversioned route %q in internal/service: version it under /v1/", pattern)
 				}
 				return true
 			})

@@ -263,13 +263,6 @@ func f(mux interface {
 	mux.Handle("/metrics", nil)
 }
 `,
-		"internal/service/http_legacy.go": `package service
-
-func g(mux interface{ HandleFunc(pattern string, h func()) }) {
-	mux.HandleFunc("GET /healthz", nil)
-	mux.HandleFunc("GET /metrics", nil)
-}
-`,
 		"internal/service/ok_test.go": `package service
 
 func t(mux interface{ HandleFunc(pattern string, h func()) }) {
@@ -297,9 +290,6 @@ func h(mux interface {
 	for _, d := range diags {
 		if d.Pos.Filename != "internal/service/http.go" {
 			t.Errorf("finding in wrong file: %s", d.String())
-		}
-		if !strings.Contains(d.Message, "http_legacy.go") {
-			t.Errorf("message should point at the shim: %s", d.String())
 		}
 	}
 }

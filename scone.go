@@ -215,16 +215,6 @@ type (
 	PersistentFault = fault.PersistentFault
 )
 
-// FaultModel enumerates stuck-at-0/1 and bit-flip.
-//
-// Deprecated: use Model.
-type FaultModel = fault.Model
-
-// CampaignRun is one classified encryption.
-//
-// Deprecated: use Run.
-type CampaignRun = fault.Run
-
 // Fault models.
 const (
 	// StuckAt0 forces the faulted net to 0.
