@@ -17,11 +17,12 @@ race:
 
 # Campaign benchmark suite: PRESENT-80 across all three entropy variants
 # plus the k=2 multi-fault plan sweep and the engine-configuration scaling
-# matrix (lane widths x workers x batch sizes), written to BENCH_PR10.json
-# (runs/sec, ns/eval, allocs). CI uploads the report as an artifact so the
-# perf trajectory is tracked per commit.
+# matrix (workers x batch sizes), written to the git-ignored
+# sconebench.json (runs/sec, ns/eval, allocs) so the committed BENCH_PR*.json
+# history files are never overwritten. CI uploads the report as an artifact
+# so the perf trajectory is tracked per commit.
 bench:
-	$(GO) run ./cmd/sconebench -short
+	$(GO) run ./cmd/sconebench -short -o sconebench.json
 
 # Full go-test benchmark run (slow; one benchmark per paper table/figure
 # plus the raw gate-eval throughput benchmarks).

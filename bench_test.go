@@ -273,7 +273,7 @@ func TestCampaignAllocsPerRun(t *testing.T) {
 					Design: d, Key: benchKey,
 					Faults: []fault.Fault{fault.At(net, fault.StuckAt0, d.LastRoundCycle())},
 					Runs:   runs, Seed: seed,
-					Engine: fault.EngineConfig{LaneWords: 1, Parallelism: 1},
+					Engine: fault.EngineConfig{Parallelism: 1},
 				}
 				if _, err := camp.Execute(nil); err != nil {
 					t.Fatal(err)

@@ -1,17 +1,19 @@
 // Command sconebench runs the PRESENT-80 fault-campaign scaling suite and
-// writes a machine-readable report. It is the perf-trajectory anchor for
-// the engine-configuration work: a scaling matrix sweeps lane widths ×
-// worker parallelism × dispatch batch sizes over one campaign, proves every
-// cell computes bit-identical tallies, and selects the fastest
-// configuration; the per-variant and multi-fault rows then run at that
-// configuration. The numbers in BENCH_PR10.json are produced with the obs
-// registry enabled, so instrument overhead is part of what is measured.
+// writes a machine-readable report. A scaling matrix sweeps worker
+// parallelism × dispatch batch sizes over one campaign, proves every cell
+// computes bit-identical tallies, and selects the fastest configuration;
+// the per-variant and multi-fault rows then run at that configuration. The
+// numbers are produced with the obs registry enabled, so instrument
+// overhead is part of what is measured.
 //
 // Usage:
 //
 //	sconebench [-runs 16384] [-seed 0x5C09E2021] [-short]
-//	           [-lanes W] [-parallel N] [-batch-runs R]
-//	           [-o BENCH_PR10.json]
+//	           [-parallel N] [-batch-runs R] [-o sconebench.json]
+//
+// The default report path is git-ignored, so a run never overwrites the
+// committed BENCH_PR*.json history files; name one with -o to record a new
+// anchor.
 //
 // The scaling matrix always runs in full. The engine flags, when set
 // explicitly, pin the configuration of the variant and multi-fault rows
@@ -71,7 +73,6 @@ func main() {
 // scalingCell is one scaling-matrix measurement: the prime-variant campaign
 // under one engine configuration.
 type scalingCell struct {
-	LaneWords   int     `json:"lane_words"`
 	Parallelism int     `json:"parallelism"`
 	BatchRuns   int     `json:"batch_runs"`
 	ElapsedNS   int64   `json:"elapsed_ns"`
@@ -80,7 +81,7 @@ type scalingCell struct {
 
 // scalingReport is the matrix plus its verdict: every cell's tallies were
 // bit-identical (Campaign pins them), Best won, and Speedup is Best over
-// the legacy single-word single-worker one-group cell.
+// the single-worker one-batch cell.
 type scalingReport struct {
 	Matrix []scalingCell `json:"matrix"`
 	// Campaign pins the outcome tallies shared by every matrix cell: the
@@ -108,11 +109,10 @@ type variantReport struct {
 	BytesPerRun  float64 `json:"bytes_per_run"`
 }
 
-// matrixDims returns the swept engine-configuration axes: every supported
-// lane width, deduplicated worker counts up to the machine's cores, and
-// three dispatch granularities.
-func matrixDims() (widths, parallels, batchRuns []int) {
-	widths = []int{1, 2, 4}
+// matrixDims returns the swept engine-configuration axes: deduplicated
+// worker counts up to the machine's cores, and three dispatch
+// granularities.
+func matrixDims() (parallels, batchRuns []int) {
 	for _, p := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		seen := false
 		for _, q := range parallels {
@@ -123,7 +123,7 @@ func matrixDims() (widths, parallels, batchRuns []int) {
 		}
 	}
 	batchRuns = []int{sim.Lanes, 1024, 4096}
-	return widths, parallels, batchRuns
+	return parallels, batchRuns
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -132,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	runs := fs.Int("runs", 16384, "simulated encryptions per variant and matrix cell")
 	seed := fs.Uint64("seed", 0x5C09E2021, "campaign seed")
 	short := fs.Bool("short", false, "shrink the suite for CI (2048 runs per variant)")
-	out := fs.String("o", "BENCH_PR10.json", "report path (\"-\" writes the JSON to stdout)")
+	out := fs.String("o", "sconebench.json", "report path (\"-\" writes the JSON to stdout)")
 	engine := cliflags.RegisterEngine(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -153,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	enginePinned := false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "lanes", "parallel", "batch-runs":
+		case "parallel", "batch-runs":
 			enginePinned = true
 		}
 	})
@@ -174,20 +174,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *out != "-" {
 		for _, cell := range scaling.Matrix {
-			fmt.Fprintf(stdout, "scale w=%d p=%d b=%-5d %10.0f runs/s  (%s)\n",
-				cell.LaneWords, cell.Parallelism, cell.BatchRuns, cell.RunsPerSec,
+			fmt.Fprintf(stdout, "scale p=%d b=%-5d %10.0f runs/s  (%s)\n",
+				cell.Parallelism, cell.BatchRuns, cell.RunsPerSec,
 				time.Duration(cell.ElapsedNS).Round(time.Millisecond))
 		}
-		fmt.Fprintf(stdout, "best  w=%d p=%d b=%-5d %10.0f runs/s  %.2fx over legacy\n",
-			scaling.Best.LaneWords, scaling.Best.Parallelism, scaling.Best.BatchRuns,
-			scaling.Best.RunsPerSec, scaling.Speedup)
+		fmt.Fprintf(stdout, "best  p=%d b=%-5d %10.0f runs/s  %.2fx over p=1 b=%d\n",
+			scaling.Best.Parallelism, scaling.Best.BatchRuns,
+			scaling.Best.RunsPerSec, scaling.Speedup, sim.Lanes)
 	}
 
 	// The variant and multi-fault rows run at the matrix winner unless an
 	// engine flag pinned the configuration explicitly.
 	if !enginePinned {
 		engineCfg = fault.EngineConfig{
-			LaneWords:   scaling.Best.LaneWords,
 			Parallelism: scaling.Best.Parallelism,
 			BatchRuns:   scaling.Best.BatchRuns,
 		}
@@ -256,7 +255,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"go":         runtime.Version(),
 		"gomaxprocs": runtime.GOMAXPROCS(0),
 		"engine": map[string]any{
-			"lane_words":  engineCfg.LaneWords,
 			"parallelism": engineCfg.Parallelism,
 			"batch_runs":  engineCfg.BatchRuns,
 			"pinned":      enginePinned,
@@ -300,8 +298,7 @@ func benchCampaign(d *core.Design, runs int, seed uint64, cfg fault.EngineConfig
 
 // benchScaling sweeps the engine-configuration matrix over one campaign and
 // verifies every cell computes bit-identical tallies. The baseline cell is
-// the legacy configuration (width 1, one worker, one lane group per
-// dispatch); the best cell wins on runs/sec.
+// one worker with one batch per dispatch; the best cell wins on runs/sec.
 func benchScaling(runs int, seed uint64) (scalingReport, error) {
 	d, err := service.BuildDesign(service.DesignSpec{
 		Cipher:  "present80",
@@ -311,42 +308,37 @@ func benchScaling(runs int, seed uint64) (scalingReport, error) {
 	if err != nil {
 		return scalingReport{}, err
 	}
-	widths, parallels, batchRuns := matrixDims()
+	parallels, batchRuns := matrixDims()
 	var rep scalingReport
-	for _, w := range widths {
-		for _, p := range parallels {
-			for _, br := range batchRuns {
-				camp := benchCampaign(d, runs, seed, fault.EngineConfig{
-					LaneWords: w, Parallelism: p, BatchRuns: br,
-				})
-				start := time.Now()
-				res, err := camp.Execute(nil)
-				elapsed := time.Since(start)
-				if err != nil {
-					return scalingReport{}, err
-				}
-				tallies := service.NewCampaignResult(res)
-				if len(rep.Matrix) == 0 {
-					rep.Campaign = tallies
-				} else if tallies != rep.Campaign {
-					return scalingReport{}, fmt.Errorf(
-						"w=%d p=%d b=%d tallies %+v diverge from %+v",
-						w, p, br, tallies, rep.Campaign)
-				}
-				cell := scalingCell{
-					LaneWords:   w,
-					Parallelism: p,
-					BatchRuns:   br,
-					ElapsedNS:   elapsed.Nanoseconds(),
-					RunsPerSec:  float64(runs) / elapsed.Seconds(),
-				}
-				rep.Matrix = append(rep.Matrix, cell)
-				if cell.LaneWords == 1 && cell.Parallelism == 1 && cell.BatchRuns == sim.Lanes {
-					rep.Baseline = cell
-				}
-				if cell.RunsPerSec > rep.Best.RunsPerSec {
-					rep.Best = cell
-				}
+	for _, p := range parallels {
+		for _, br := range batchRuns {
+			camp := benchCampaign(d, runs, seed, fault.EngineConfig{Parallelism: p, BatchRuns: br})
+			start := time.Now()
+			res, err := camp.Execute(nil)
+			elapsed := time.Since(start)
+			if err != nil {
+				return scalingReport{}, err
+			}
+			tallies := service.NewCampaignResult(res)
+			if len(rep.Matrix) == 0 {
+				rep.Campaign = tallies
+			} else if tallies != rep.Campaign {
+				return scalingReport{}, fmt.Errorf(
+					"p=%d b=%d tallies %+v diverge from %+v",
+					p, br, tallies, rep.Campaign)
+			}
+			cell := scalingCell{
+				Parallelism: p,
+				BatchRuns:   br,
+				ElapsedNS:   elapsed.Nanoseconds(),
+				RunsPerSec:  float64(runs) / elapsed.Seconds(),
+			}
+			rep.Matrix = append(rep.Matrix, cell)
+			if cell.Parallelism == 1 && cell.BatchRuns == sim.Lanes {
+				rep.Baseline = cell
+			}
+			if cell.RunsPerSec > rep.Best.RunsPerSec {
+				rep.Best = cell
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // The suite must produce a parseable report with the scaling matrix, one
 // measurement per entropy variant, and the seed-determined tallies.
 func TestBenchWritesReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_PR10.json")
+	path := filepath.Join(t.TempDir(), "report.json")
 	var out, errb bytes.Buffer
 	if err := run([]string{"-runs", "192", "-o", path}, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
@@ -32,14 +32,13 @@ func TestBenchWritesReport(t *testing.T) {
 		Runs   int         `json:"runs"`
 		Seed   service.U64 `json:"seed"`
 		Engine struct {
-			LaneWords   int  `json:"lane_words"`
 			Parallelism int  `json:"parallelism"`
 			Pinned      bool `json:"pinned"`
 		} `json:"engine"`
 		Scaling struct {
 			Matrix []struct {
-				LaneWords  int     `json:"lane_words"`
-				RunsPerSec float64 `json:"runs_per_sec"`
+				Parallelism int     `json:"parallelism"`
+				RunsPerSec  float64 `json:"runs_per_sec"`
 			} `json:"matrix"`
 			Campaign service.CampaignResult `json:"campaign"`
 			Speedup  float64                `json:"speedup"`
@@ -65,13 +64,16 @@ func TestBenchWritesReport(t *testing.T) {
 	if doc.Bench != "present80-scaling-suite" || doc.Runs != 192 || doc.Seed != 0x5C09E2021 {
 		t.Fatalf("envelope %+v", doc)
 	}
-	if doc.Engine.Pinned || doc.Engine.LaneWords == 0 {
+	if doc.Engine.Pinned || doc.Engine.Parallelism == 0 {
 		t.Fatalf("engine section %+v: want unpinned matrix winner", doc.Engine)
 	}
+	if bytes.Contains(b, []byte("lane_words")) {
+		t.Error("report still carries a lane_words field")
+	}
 
-	// Three lane widths at minimum one parallelism and three batch sizes.
-	widths, parallels, batchRuns := matrixDims()
-	if want := len(widths) * len(parallels) * len(batchRuns); len(doc.Scaling.Matrix) != want {
+	// At minimum one parallelism and three batch sizes.
+	parallels, batchRuns := matrixDims()
+	if want := len(parallels) * len(batchRuns); len(doc.Scaling.Matrix) != want {
 		t.Fatalf("scaling matrix has %d cells, want %d", len(doc.Scaling.Matrix), want)
 	}
 	if doc.Scaling.Campaign.Total != 192 || doc.Scaling.Speedup <= 0 {
@@ -126,21 +128,21 @@ func TestBenchWritesReport(t *testing.T) {
 // matrix winner.
 func TestBenchEngineFlagsPin(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{"-runs", "64", "-lanes", "2", "-parallel", "1", "-o", "-"}, &out, &errb); err != nil {
+	if err := run([]string{"-runs", "64", "-parallel", "1", "-batch-runs", "128", "-o", "-"}, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	var doc struct {
 		Engine struct {
-			LaneWords   int  `json:"lane_words"`
 			Parallelism int  `json:"parallelism"`
+			BatchRuns   int  `json:"batch_runs"`
 			Pinned      bool `json:"pinned"`
 		} `json:"engine"`
 	}
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatalf("stdout is not pure JSON: %v\n%s", err, out.String())
 	}
-	if !doc.Engine.Pinned || doc.Engine.LaneWords != 2 || doc.Engine.Parallelism != 1 {
-		t.Fatalf("engine section %+v, want pinned w=2 p=1", doc.Engine)
+	if !doc.Engine.Pinned || doc.Engine.Parallelism != 1 || doc.Engine.BatchRuns != 128 {
+		t.Fatalf("engine section %+v, want pinned p=1 b=128", doc.Engine)
 	}
 }
 
@@ -167,7 +169,34 @@ func TestBenchRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}, &out, &errb); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
-	if err := run([]string{"-lanes", "3"}, &out, &errb); err == nil {
-		t.Fatal("invalid lane width accepted")
+	if err := run([]string{"-lanes", "2"}, &out, &errb); err == nil {
+		t.Fatal("removed -lanes flag accepted")
+	}
+	if err := run([]string{"-parallel", "-1"}, &out, &errb); err == nil {
+		t.Fatal("negative parallelism accepted")
+	}
+}
+
+// Without -o the report goes to the git-ignored sconebench.json, never to a
+// committed BENCH_PR*.json history file.
+func TestBenchDefaultReportPath(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	var out, errb bytes.Buffer
+	if err := run([]string{"-runs", "64"}, &out, &errb); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sconebench.json")); err != nil {
+		t.Fatalf("default report not written: %v", err)
+	}
+	if hist, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json")); len(hist) != 0 {
+		t.Fatalf("default run wrote history files %v", hist)
 	}
 }

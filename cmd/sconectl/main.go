@@ -474,7 +474,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string, stdout, std
 			Faults: []service.FaultSpec{{
 				Branch: *branch, Sbox: *sbox, Bit: *bit, Model: *model,
 			}},
-			LaneWords: engineCfg.LaneWords,
 			Workers:   engineCfg.Parallelism,
 			BatchRuns: engineCfg.BatchRuns,
 		}

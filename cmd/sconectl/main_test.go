@@ -246,6 +246,9 @@ func TestBadInvocations(t *testing.T) {
 	if _, err := runCtl(t, server, "submit", "-seed", "banana"); err == nil {
 		t.Error("non-numeric seed accepted")
 	}
+	if _, err := runCtl(t, server, "submit", "-lanes", "4"); err == nil {
+		t.Error("removed -lanes flag accepted")
+	}
 }
 
 // TestResultsAndRunsCommands drives the result-store read commands against

@@ -5,10 +5,10 @@
 // Usage:
 //
 //	sconed [-addr :8344] [-state DIR] [-workers N] [-queue N]
-//	       [-checkpoint-runs N] [-sim-workers N] [-lanes W] [-pprof]
+//	       [-checkpoint-runs N] [-sim-workers N] [-pprof]
 //	       [-dist] [-lease-batches N] [-lease-ttl D] [-lease-attempts N]
 //	sconed -worker -join URL [-name NAME] [-capacity N] [-chunk-batches N]
-//	       [-sim-workers N] [-lanes W]
+//	       [-sim-workers N]
 //
 // With -dist the daemon is a distributed-fabric coordinator: campaign jobs
 // are split into batch-range leases that worker processes pull, execute and
@@ -75,7 +75,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	queueDepth := fs.Int("queue", 32, "queued-job capacity per shard")
 	ckptRuns := fs.Int("checkpoint-runs", 4096, "campaign checkpoint interval in simulated runs")
 	simWorkers := fs.Int("sim-workers", 0, "goroutines per campaign simulation (0 = GOMAXPROCS)")
-	simLanes := fs.Int("lanes", 0, "engine word width per campaign simulation: 1, 2 or 4 (0 = 1); results are identical at every width")
 	drainWait := fs.Duration("drain-timeout", 30*time.Second, "how long to wait for running jobs to checkpoint on shutdown")
 	pprofOn := fs.Bool("pprof", false, "expose Go runtime profiles under /debug/pprof/")
 	dist := fs.Bool("dist", false, "coordinator mode: distribute campaign jobs to sconed workers as batch-range leases")
@@ -93,8 +92,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	// Reject an impossible default width before any job hits it.
-	if err := (fault.EngineConfig{LaneWords: *simLanes}).Validate(); err != nil {
+	// Reject an impossible simulation parallelism before any job or lease
+	// hits it.
+	if err := (fault.EngineConfig{Parallelism: *simWorkers}).Validate(); err != nil {
 		return err
 	}
 	if *workerMode {
@@ -107,7 +107,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			capacity:     *capacity,
 			chunkBatches: *chunkBatches,
 			simWorkers:   *simWorkers,
-			simLaneWords: *simLanes,
 		}, stdout)
 	}
 	if *join != "" {
@@ -130,7 +129,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		StateDir:            *state,
 		CheckpointEveryRuns: *ckptRuns,
 		SimWorkers:          *simWorkers,
-		SimLaneWords:        *simLanes,
 		Obs:                 reg,
 		Dist: service.DistConfig{
 			Enabled:      *dist,

@@ -182,9 +182,26 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
 		t.Fatalf("stray argument: %v", err)
 	}
-	err = run(context.Background(), []string{"-lanes", "5"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "lane words") {
-		t.Fatalf("invalid lane width: %v", err)
+	// The remaining cases run with an already cancelled context, so a
+	// build that accepted their flags would start, drain at once and
+	// return nil instead of blocking.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	// The simulator has one lane width; the flag that chose it is gone.
+	err = run(ctx, []string{"-addr", "127.0.0.1:0", "-lanes", "4"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-lanes") {
+		t.Fatalf("removed -lanes flag: %v", err)
+	}
+	// A negative -sim-workers is rejected at startup in both modes rather
+	// than read as GOMAXPROCS (daemon) or failing every lease (worker).
+	for _, args := range [][]string{
+		{"-addr", "127.0.0.1:0", "-sim-workers", "-1"},
+		{"-worker", "-join", "http://127.0.0.1:1", "-sim-workers", "-1"},
+	} {
+		err = run(ctx, args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "parallelism") {
+			t.Errorf("%v: err = %v, want a parallelism error", args, err)
+		}
 	}
 }
 

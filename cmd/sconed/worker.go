@@ -21,7 +21,6 @@ type workerOptions struct {
 	capacity     int
 	chunkBatches int
 	simWorkers   int
-	simLaneWords int
 }
 
 // runWorker joins the coordinator and executes leases until ctx is
@@ -35,7 +34,6 @@ func runWorker(ctx context.Context, opts workerOptions, stdout io.Writer) error 
 		Capacity:     opts.capacity,
 		ChunkBatches: opts.chunkBatches,
 		SimWorkers:   opts.simWorkers,
-		SimLaneWords: opts.simLaneWords,
 		OnLease: func(g service.LeaseGrant) {
 			fmt.Fprintf(stdout, "sconed: lease %s job %s batches [%d,%d)\n",
 				g.LeaseID, g.JobID, g.FirstBatch, g.LastBatch)

@@ -5,10 +5,6 @@
 //	cachedcompile  forbid direct sim.Compile outside internal/sim
 //	ctxexecute     forbid context-free .Execute( in internal/service and
 //	               cmd/sconed (use ExecuteContext/ExecuteBatches)
-//	enginecfg      forbid direct engine construction (sim.NewEngine,
-//	               core.NewWideRunnerFrom) outside internal/sim,
-//	               internal/core and internal/fault (configure
-//	               fault.EngineConfig)
 //	obsnames       enforce scone_<pkg>_<metric>_<unit> metric names at obs
 //	               registration sites
 //	provebudget    forbid bare bdd.New in internal/lint and internal/prove

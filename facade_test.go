@@ -27,7 +27,7 @@ var facadeSymbols = []string{
 	"EngineANF", "EngineBDD",
 	"Build", "MustBuild", "NewRunner", "LambdaConst",
 	// Simulation layer.
-	"BatchLanes", "EngineConfig", "DefaultEngineConfig",
+	"BatchLanes", "EngineConfig",
 	// Fault-injection layer.
 	"Model", "Fault", "Campaign", "CampaignResult", "Run", "Net", "Injector",
 	"StuckAt0", "StuckAt1", "BitFlip", "PersistentFault",
@@ -231,10 +231,10 @@ func TestFacadeNewCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cw.WithEngine(EngineConfig{LaneWords: 3}); err == nil {
+	if _, err := cw.WithEngine(EngineConfig{Parallelism: -1}); err == nil {
 		t.Error("invalid engine configuration accepted")
 	}
-	cw, err = cw.WithEngine(EngineConfig{LaneWords: 4, Parallelism: 2})
+	cw, err = cw.WithEngine(EngineConfig{Parallelism: 2, BatchRuns: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestFacadeNewCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resW != res {
-		t.Fatalf("wide engine result %+v differs from %+v", resW, res)
+		t.Fatalf("reconfigured engine result %+v differs from %+v", resW, res)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

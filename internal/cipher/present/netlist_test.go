@@ -48,7 +48,7 @@ func TestKeySchedNetMatchesSoftware(t *testing.T) {
 				words[i] = ^uint64(0)
 			}
 		}
-		s.SetInputLaneWords("ks", words)
+		s.SetInputWords("ks", words)
 		s.SetInputBroadcast("cnt", uint64(tc.round))
 		s.Eval()
 

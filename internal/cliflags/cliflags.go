@@ -5,7 +5,7 @@
 // and the values flow through service.ParseDesign — the same vocabulary the
 // daemon's wire schema uses — so a design named on any CLI is a design the
 // HTTP API accepts verbatim. RegisterEngine does the same for the engine
-// configuration surface (-lanes / -parallel / -batch-runs), which maps onto
+// configuration surface (-parallel / -batch-runs), which maps onto
 // fault.EngineConfig.
 package cliflags
 
@@ -82,7 +82,6 @@ func (d *Design) Build() (*core.Design, error) {
 // computes bit-identical campaign results; these flags only choose how fast
 // the machine computes them.
 type Engine struct {
-	Lanes     int
 	Parallel  int
 	BatchRuns int
 }
@@ -90,23 +89,20 @@ type Engine struct {
 // RegisterEngine installs the shared engine-configuration flag surface on
 // fs:
 //
-//	-lanes      engine word width W (1, 2 or 4): one simulator pass
-//	            evaluates W×64 lanes
 //	-parallel   worker goroutines per campaign (0 = GOMAXPROCS)
-//	-batch-runs runs per worker dispatch, rounded up to whole lane
-//	            groups (0 = one lane group)
+//	-batch-runs runs per worker dispatch, rounded up to whole 64-run
+//	            batches (0 = one batch)
 func RegisterEngine(fs *flag.FlagSet) *Engine {
 	e := &Engine{}
-	fs.IntVar(&e.Lanes, "lanes", 1, "engine word width: 1, 2 or 4 (one pass evaluates width x 64 lanes)")
 	fs.IntVar(&e.Parallel, "parallel", 0, "worker goroutines per campaign (0 = GOMAXPROCS)")
-	fs.IntVar(&e.BatchRuns, "batch-runs", 0, "runs per worker dispatch, rounded up to whole lane groups (0 = one lane group)")
+	fs.IntVar(&e.BatchRuns, "batch-runs", 0, "runs per worker dispatch, rounded up to whole 64-run batches (0 = one batch)")
 	return e
 }
 
 // Config validates the flag values and converts them to the engine
 // configuration.
 func (e *Engine) Config() (fault.EngineConfig, error) {
-	cfg := fault.EngineConfig{LaneWords: e.Lanes, Parallelism: e.Parallel, BatchRuns: e.BatchRuns}
+	cfg := fault.EngineConfig{Parallelism: e.Parallel, BatchRuns: e.BatchRuns}
 	if err := cfg.Validate(); err != nil {
 		return fault.EngineConfig{}, err
 	}

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"io"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 func newFS() *flag.FlagSet {
@@ -111,7 +113,6 @@ func TestEngineFlagSurface(t *testing.T) {
 	for _, tc := range []struct {
 		name, def string
 	}{
-		{"lanes", "1"},
 		{"parallel", "0"},
 		{"batch-runs", "0"},
 	} {
@@ -133,17 +134,19 @@ func TestEngineConfig(t *testing.T) {
 		bad  bool
 	}{
 		{name: "defaults", args: nil},
-		{name: "wide parallel", args: []string{"-lanes", "4", "-parallel", "8", "-batch-runs", "1024"}},
-		{name: "bad width", args: []string{"-lanes", "3"}, bad: true},
+		{name: "wide parallel", args: []string{"-parallel", "8", "-batch-runs", "1024"}},
+		// The lane-width flag is gone: the simulator has one width.
+		{name: "bad width", args: []string{"-lanes", "4"}, bad: true},
 		{name: "negative parallel", args: []string{"-parallel", "-1"}, bad: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := newFS()
 			e := RegisterEngine(fs)
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
+			err := fs.Parse(tc.args)
+			var cfg fault.EngineConfig
+			if err == nil {
+				cfg, err = e.Config()
 			}
-			cfg, err := e.Config()
 			if tc.bad {
 				if err == nil {
 					t.Fatalf("accepted %+v", e)
@@ -153,7 +156,7 @@ func TestEngineConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.LaneWords != e.Lanes || cfg.Parallelism != e.Parallel || cfg.BatchRuns != e.BatchRuns {
+			if cfg.Parallelism != e.Parallel || cfg.BatchRuns != e.BatchRuns {
 				t.Fatalf("config %+v does not mirror flags %+v", cfg, e)
 			}
 		})

@@ -8,14 +8,13 @@ import (
 	"repro/internal/spn"
 )
 
-// EngineRunner drives a Design through a width-W simulation engine, one
-// batch of up to S.LaneCount() encryptions at a time. It owns the engine;
-// installing a fault injector on it (EngineRunner.S) makes every subsequent
-// batch run under that fault. Width is an execution detail: a wide runner
-// computes bit-identical per-lane results to the classic 64-lane Runner.
-type EngineRunner[W sim.Word] struct {
+// Runner drives a Design through the 64-lane simulator, one batch of up to
+// sim.Lanes encryptions at a time. It owns the simulator; installing a fault
+// injector on it (Runner.S) makes every subsequent batch run under that
+// fault.
+type Runner struct {
 	D *Design
-	S *sim.Engine[W]
+	S *sim.Simulator
 	// CycleHook, when set, is called after every clock cycle of an
 	// EncryptBatch with the cycle index just executed; the side-channel
 	// probe uses it to sample switching activity.
@@ -50,10 +49,6 @@ type MaskSet struct {
 	Lambda []uint64
 }
 
-// Runner is the classic 64-lane runner; all pre-width-configuration call
-// sites use this instantiation.
-type Runner = EngineRunner[sim.Word1]
-
 // NewRunner compiles the design (through the process-wide compile cache)
 // and creates a simulator for it.
 func NewRunner(d *Design) (*Runner, error) {
@@ -64,22 +59,13 @@ func NewRunner(d *Design) (*Runner, error) {
 	return NewRunnerFrom(d, c), nil
 }
 
-// NewRunnerFrom creates another 64-lane runner over an already compiled
-// design — campaigns that parallelise across goroutines use one Runner
-// each.
+// NewRunnerFrom creates another runner over an already compiled design —
+// campaigns that parallelise across goroutines use one Runner each.
 func NewRunnerFrom(d *Design, c *sim.Compiled) *Runner {
-	return NewWideRunnerFrom[sim.Word1](d, c)
-}
-
-// NewWideRunnerFrom creates a width-W runner over an already compiled
-// design. It is the low-level constructor behind the campaign executor's
-// engine configuration; callers outside the core/fault stack select width
-// through fault.EngineConfig, which validates it first.
-func NewWideRunnerFrom[W sim.Word](d *Design, c *sim.Compiled) *EngineRunner[W] {
 	if c.Mod != d.Mod {
 		panic("core: compiled module does not match design")
 	}
-	return &EngineRunner[W]{D: d, S: sim.NewEngine[W](c)}
+	return &Runner{D: d, S: c.NewSimulator()}
 }
 
 // LambdaFunc supplies the per-cycle lambda port values: it returns one
@@ -104,11 +90,11 @@ type BatchResult struct {
 	Fault []bool
 }
 
-// EncryptBatch runs len(pts) parallel encryptions (at most S.LaneCount())
+// EncryptBatch runs len(pts) parallel encryptions (at most sim.Lanes)
 // under one key. garbage supplies the per-lane recovery outputs for
 // duplicated schemes (ignored otherwise; may be nil). lambda supplies
 // encoding bits for randomised schemes (ignored otherwise; may be nil).
-func (r *EngineRunner[W]) EncryptBatch(pts []uint64, key spn.KeyState, garbage []uint64, lambda LambdaFunc) BatchResult {
+func (r *Runner) EncryptBatch(pts []uint64, key spn.KeyState, garbage []uint64, lambda LambdaFunc) BatchResult {
 	res := r.EncryptBatchReuse(pts, key, garbage, lambda)
 	return BatchResult{
 		CT:    append([]uint64(nil), res.CT...),
@@ -119,10 +105,10 @@ func (r *EngineRunner[W]) EncryptBatch(pts []uint64, key spn.KeyState, garbage [
 // EncryptBatchReuse is EncryptBatch backed by the runner's internal
 // buffers: the returned slices are only valid until the next call. It is
 // the allocation-free path the campaign workers run on.
-func (r *EngineRunner[W]) EncryptBatchReuse(pts []uint64, key spn.KeyState, garbage []uint64, lambda LambdaFunc) BatchResult {
+func (r *Runner) EncryptBatchReuse(pts []uint64, key spn.KeyState, garbage []uint64, lambda LambdaFunc) BatchResult {
 	d := r.D
 	s := r.S
-	lanes := s.LaneCount()
+	const lanes = sim.Lanes
 	if len(pts) == 0 || len(pts) > lanes {
 		panic(fmt.Sprintf("core: batch size %d out of range 1..%d", len(pts), lanes))
 	}
@@ -229,7 +215,7 @@ func (r *EngineRunner[W]) EncryptBatchReuse(pts []uint64, key spn.KeyState, garb
 // EncryptOne is a single-run convenience wrapper. lambdaBits supplies the
 // per-cycle λ value (only the low LambdaWidth bits are used); pass nil for
 // non-randomised schemes or all-zero λ.
-func (r *EngineRunner[W]) EncryptOne(pt uint64, key spn.KeyState, garbage uint64, lambda LambdaFunc) (ct uint64, fault bool) {
+func (r *Runner) EncryptOne(pt uint64, key spn.KeyState, garbage uint64, lambda LambdaFunc) (ct uint64, fault bool) {
 	res := r.EncryptBatch([]uint64{pt}, key, []uint64{garbage}, lambda)
 	return res.CT[0], res.Fault[0]
 }

@@ -75,12 +75,11 @@ type Campaign struct {
 	Faults []Fault
 	Runs   int
 	Seed   uint64
-	// Engine configures the execution engine: lane width, parallelism and
-	// dispatch granularity. The zero value is the legacy configuration
-	// (single-word passes, GOMAXPROCS workers, one lane group per
-	// dispatch). Execution configuration is pure policy — results, golden
-	// digests and stored content addresses are identical across all valid
-	// configurations.
+	// Engine configures the execution engine: parallelism and dispatch
+	// granularity. The zero value is the default (GOMAXPROCS workers, one
+	// batch per dispatch). Execution configuration is pure policy —
+	// results, golden digests and stored content addresses are identical
+	// across all valid configurations.
 	Engine EngineConfig
 	// Persistent, when non-nil, corrupts one S-box table entry before
 	// the campaign starts: every branch of every run computes with the
@@ -123,10 +122,10 @@ func (r Result) String() string {
 }
 
 // EngineVersion identifies the campaign engine's deterministic result
-// semantics: the (Seed, batch) randomness derivation, the lane width, the
-// outcome classification. It is part of every stored batch's content
-// address, so bumping it when any of those change invalidates all cached
-// results at once instead of silently replaying stale ones.
+// semantics: the (Seed, batch) randomness derivation, the 64-run batch
+// size, the outcome classification. It is part of every stored batch's
+// content address, so bumping it when any of those change invalidates all
+// cached results at once instead of silently replaying stale ones.
 //
 // Version 2 adds the persistent-fault model and the corrected outcome
 // class. Campaigns that cannot exercise either — no persistent fault and a
@@ -240,65 +239,45 @@ func (c *Campaign) ExecuteBatchesFunc(ctx context.Context, first, last int, obse
 	if first == last {
 		return Result{}, nil
 	}
-	numShards := (last - first + cfg.shardBatches - 1) / cfg.shardBatches
-	workers := cfg.workers
-	if workers > numShards {
-		workers = numShards
-	}
+	numShards := (last-first-1)/cfg.shardBatches + 1
+	workers := min(cfg.workers, numShards)
 
 	inj := NewInjector(c.Faults...)
-	met.Load().setLaneWords(cfg.laneWords)
 
 	shardCh := make(chan [2]int)
-	outCh := make(chan batchOut, workers*cfg.laneWords)
+	// One slot per worker lets each hand off a finished batch without
+	// waiting for the reorder loop.
+	outCh := make(chan batchOut, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			gr := c.newGroupRunner(cfg.laneWords, simD, compiled, inj)
-			outs := make([]batchOut, cfg.laneWords)
+			br := c.newBatchRunner(simD, compiled, inj)
 			for sh := range shardCh {
-				// Walk the shard one lane group at a time: up to
-				// laneWords consecutive batches per simulator pass.
-				for b := sh[0]; b < sh[1]; b += cfg.laneWords {
-					g := cfg.laneWords
-					if b+g > sh[1] {
-						g = sh[1] - b
-					}
+				for b := sh[0]; b < sh[1]; b++ {
 					var start time.Time
 					mm := met.Load()
 					if mm != nil {
 						start = time.Now()
 					}
-					for j := 0; j < g; j++ {
-						outs[j] = batchOut{batch: b + j}
-					}
-					gr.runGroup(b, g, outs[:g], observe != nil)
+					out := br.run(b, observe != nil)
 					if mm != nil {
-						ns := time.Since(start).Nanoseconds() / int64(g)
-						for j := 0; j < g; j++ {
-							mm.countBatch(ns, len(c.Faults), outs[j].res)
-						}
+						mm.countBatch(time.Since(start).Nanoseconds(), len(c.Faults), out.res)
 					}
-					for j := 0; j < g; j++ {
-						outCh <- outs[j]
-					}
+					outCh <- out
 				}
 			}
 		}()
 	}
-	// The feeder hands each worker a contiguous shard of whole lane
-	// groups and stops dispatching once ctx is done; shards already
-	// handed to a worker run to completion, so the completed set is a
-	// contiguous prefix of the range.
+	// The feeder hands each worker a contiguous shard of batches and
+	// stops dispatching once ctx is done; shards already handed to a
+	// worker run to completion, so the completed set is a contiguous
+	// prefix of the range.
 	go func() {
 		defer close(shardCh)
 		for lo := first; lo < last; lo += cfg.shardBatches {
-			hi := lo + cfg.shardBatches
-			if hi > last {
-				hi = last
-			}
+			hi := lo + min(cfg.shardBatches, last-lo)
 			// Checking Err first makes an already-cancelled context
 			// deterministic: select alone picks randomly when both the
 			// send and Done are ready.

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -16,16 +17,10 @@ func TestEngineConfigValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", EngineConfig{}, true},
-		{"default", DefaultEngineConfig(), true},
-		{"width-1", EngineConfig{LaneWords: 1}, true},
-		{"width-2", EngineConfig{LaneWords: 2}, true},
-		{"width-4", EngineConfig{LaneWords: 4}, true},
-		{"width-3", EngineConfig{LaneWords: 3}, false},
-		{"width-8", EngineConfig{LaneWords: 8}, false},
-		{"width-negative", EngineConfig{LaneWords: -1}, false},
+		{"default", EngineConfig{Parallelism: runtime.GOMAXPROCS(0), BatchRuns: 64}, true},
 		{"parallelism-negative", EngineConfig{Parallelism: -2}, false},
 		{"batch-runs-negative", EngineConfig{BatchRuns: -64}, false},
-		{"full", EngineConfig{LaneWords: 4, Parallelism: 8, BatchRuns: 1024}, true},
+		{"full", EngineConfig{Parallelism: 8, BatchRuns: 1024}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,22 +35,10 @@ func TestEngineConfigValidate(t *testing.T) {
 	}
 }
 
-func TestEngineConfigLanes(t *testing.T) {
-	if got := (EngineConfig{}).Lanes(); got != 64 {
-		t.Errorf("zero config Lanes() = %d, want 64", got)
-	}
-	if got := (EngineConfig{LaneWords: 4}).Lanes(); got != 256 {
-		t.Errorf("width-4 Lanes() = %d, want 256", got)
-	}
-}
-
 func TestEngineConfigResolveDefaults(t *testing.T) {
 	r, err := EngineConfig{}.resolve()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.laneWords != 1 {
-		t.Errorf("laneWords = %d, want 1", r.laneWords)
 	}
 	if want := runtime.GOMAXPROCS(0); r.workers != want {
 		t.Errorf("workers = %d, want GOMAXPROCS %d", r.workers, want)
@@ -73,26 +56,30 @@ func TestEngineConfigResolveDefaults(t *testing.T) {
 		t.Errorf("workers = %d, want 5", r.workers)
 	}
 
-	// BatchRuns rounds up to whole lane groups.
-	r, err = EngineConfig{LaneWords: 4, BatchRuns: 300}.resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.shardBatches != 8 {
-		t.Errorf("shardBatches = %d, want 8 (300 runs -> 2 groups of 4 batches)", r.shardBatches)
+	// BatchRuns rounds up to whole 64-run batches.
+	for _, tc := range []struct{ runs, batches int }{
+		{1, 1}, {64, 1}, {65, 2}, {300, 5}, {math.MaxInt, math.MaxInt/64 + 1},
+	} {
+		r, err = EngineConfig{BatchRuns: tc.runs}.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.shardBatches != tc.batches {
+			t.Errorf("BatchRuns=%d: shardBatches = %d, want %d", tc.runs, r.shardBatches, tc.batches)
+		}
 	}
 
-	if _, err := (EngineConfig{LaneWords: 3}).resolve(); err == nil {
-		t.Error("resolve accepted lane width 3")
+	if _, err := (EngineConfig{Parallelism: -1}).resolve(); err == nil {
+		t.Error("resolve accepted negative parallelism")
 	}
 }
 
-// TestEngineConfigMatrixBitIdentity is the tentpole's determinism
-// acceptance: every (lane width, parallelism) execution configuration must
+// TestEngineConfigMatrixBitIdentity is the engine's determinism
+// acceptance: every (parallelism, batch size) execution configuration must
 // produce the identical Result and the identical observer-visible run
-// stream as the classic width-1 single-worker engine, for all three entropy
+// stream as the single-worker one-batch engine, for all three entropy
 // variants. The run count is deliberately not a multiple of 64 so the final
-// batch is partial inside a wide lane group.
+// batch is partial, and not a multiple of the shard size either.
 func TestEngineConfigMatrixBitIdentity(t *testing.T) {
 	entropies := []struct {
 		name    string
@@ -102,8 +89,8 @@ func TestEngineConfigMatrixBitIdentity(t *testing.T) {
 		{"per-round", core.EntropyPerRound},
 		{"per-sbox", core.EntropyPerSbox},
 	}
-	widths := []int{1, 2, 4}
 	parallelisms := []int{1, 2, runtime.NumCPU()}
+	batchRuns := []int{0, 300}
 
 	for _, e := range entropies {
 		t.Run(e.name, func(t *testing.T) {
@@ -127,19 +114,19 @@ func TestEngineConfigMatrixBitIdentity(t *testing.T) {
 				}
 			}
 
-			ref, refDigest := hashRuns(t, campaign(EngineConfig{LaneWords: 1, Parallelism: 1}))
+			ref, refDigest := hashRuns(t, campaign(EngineConfig{Parallelism: 1}))
 			if ref.Total != 700 {
 				t.Fatalf("reference total = %d, want 700", ref.Total)
 			}
-			for _, w := range widths {
-				for _, p := range parallelisms {
-					cfg := EngineConfig{LaneWords: w, Parallelism: p}
+			for _, p := range parallelisms {
+				for _, br := range batchRuns {
+					cfg := EngineConfig{Parallelism: p, BatchRuns: br}
 					res, digest := hashRuns(t, campaign(cfg))
 					if res != ref {
-						t.Errorf("W=%d p=%d: result %v differs from reference %v", w, p, res, ref)
+						t.Errorf("p=%d b=%d: result %v differs from reference %v", p, br, res, ref)
 					}
 					if digest != refDigest {
-						t.Errorf("W=%d p=%d: run-stream digest %#x differs from %#x", w, p, digest, refDigest)
+						t.Errorf("p=%d b=%d: run-stream digest %#x differs from %#x", p, br, digest, refDigest)
 					}
 				}
 			}
@@ -148,7 +135,7 @@ func TestEngineConfigMatrixBitIdentity(t *testing.T) {
 }
 
 // TestEngineConfigGoldenDigestsUnchanged re-runs the pinned golden campaigns
-// at the widest, most parallel configuration: the historic digests produced
+// at a parallel, coarse-shard configuration: the historic digests produced
 // by the original interpreted evaluator must survive verbatim.
 func TestEngineConfigGoldenDigestsUnchanged(t *testing.T) {
 	cases := []struct {
@@ -170,7 +157,7 @@ func TestEngineConfigGoldenDigestsUnchanged(t *testing.T) {
 				Faults: []Fault{At(net, StuckAt0, d.LastRoundCycle())},
 				Runs:   1000,
 				Seed:   0x5C09E2021,
-				Engine: EngineConfig{LaneWords: 4, Parallelism: 8, BatchRuns: 512},
+				Engine: EngineConfig{Parallelism: 8, BatchRuns: 512},
 			}
 			res, digest := hashRuns(t, &camp)
 			if res.Counts != tc.wantCounts {
@@ -190,14 +177,14 @@ func TestEngineConfigBatchRunsInvariance(t *testing.T) {
 	net := d.SboxInputNet(core.BranchActual, 5, 1)
 	var ref Result
 	var refDigest uint64
-	for i, br := range []int{0, 64, 128, 500, 4096} {
+	for i, br := range []int{0, 64, 128, 500, 4096, math.MaxInt} {
 		camp := Campaign{
 			Design: d,
 			Key:    goldenKey,
 			Faults: []Fault{At(net, BitFlip, d.LastRoundCycle())},
 			Runs:   700,
 			Seed:   99,
-			Engine: EngineConfig{LaneWords: 2, Parallelism: 3, BatchRuns: br},
+			Engine: EngineConfig{Parallelism: 3, BatchRuns: br},
 		}
 		res, digest := hashRuns(t, &camp)
 		if i == 0 {
@@ -212,7 +199,7 @@ func TestEngineConfigBatchRunsInvariance(t *testing.T) {
 }
 
 // TestEngineConfigInvalidRejected proves the executor validates before
-// instantiating any engine.
+// building any runner.
 func TestEngineConfigInvalidRejected(t *testing.T) {
 	d := goldenDesign(t, core.SchemeNaiveDup)
 	net := d.SboxInputNet(core.BranchActual, 0, 0)
@@ -222,9 +209,40 @@ func TestEngineConfigInvalidRejected(t *testing.T) {
 		Faults: []Fault{At(net, StuckAt0, d.LastRoundCycle())},
 		Runs:   64,
 		Seed:   1,
-		Engine: EngineConfig{LaneWords: 3},
+		Engine: EngineConfig{Parallelism: -1},
 	}
 	if _, err := camp.Execute(nil); err == nil {
-		t.Fatal("Execute accepted lane width 3")
+		t.Fatal("Execute accepted negative parallelism")
+	}
+}
+
+// TestEngineConfigHugeBatchRuns guards the shard-size rounding against
+// overflow: BatchRuns near math.MaxInt must not wrap the shard size
+// negative, which would start no worker and return an empty Result with a
+// nil error. Such a configuration runs the whole campaign in a single shard
+// and tallies exactly like the zero configuration.
+func TestEngineConfigHugeBatchRuns(t *testing.T) {
+	d := goldenDesign(t, core.SchemeThreeInOne)
+	net := d.SboxInputNet(core.BranchActual, 13, 2)
+	campaign := func(cfg EngineConfig) *Campaign {
+		return &Campaign{
+			Design: d,
+			Key:    goldenKey,
+			Faults: []Fault{At(net, StuckAt0, d.LastRoundCycle())},
+			Runs:   256,
+			Seed:   0x5C09E2021,
+			Engine: cfg,
+		}
+	}
+	want, err := campaign(EngineConfig{}).Execute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := campaign(EngineConfig{BatchRuns: math.MaxInt}).Execute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Total != 256 || got != want {
+		t.Fatalf("BatchRuns=MaxInt result %v, want %v", got, want)
 	}
 }

@@ -20,7 +20,6 @@ type metrics struct {
 	batchNS     *obs.Histogram
 	reorder     *obs.Gauge
 	shards      *obs.Counter
-	laneWords   *obs.Gauge
 
 	// Replay counters are fed by CountReplay, never by the engine itself:
 	// scone_fault_runs_total / scone_fault_batches_total count only work
@@ -50,10 +49,9 @@ func EnableObservability(reg *obs.Registry) {
 		ineffective: reg.NewCounter("scone_fault_ineffective_total", "Runs where the fault did not change the released output"),
 		effective:   reg.NewCounter("scone_fault_effective_total", "Runs releasing an undetected wrong ciphertext"),
 		corrected:   reg.NewCounter("scone_fault_corrected_total", "Runs where the majority vote sensed and recovered a fault"),
-		batchNS:     reg.NewHistogram("scone_fault_batch_ns", "Wall time of one 64-run batch (a wide pass's time split across its batches)", obs.ExpBuckets(4_000, 4, 14)),
+		batchNS:     reg.NewHistogram("scone_fault_batch_ns", "Wall time of one 64-run batch", obs.ExpBuckets(4_000, 4, 14)),
 		reorder:     reg.NewGauge("scone_fault_reorder_depth_count", "Batches parked in the reorder buffer awaiting in-order delivery"),
 		shards:      reg.NewCounter("scone_fault_shards_total", "Contiguous batch shards dispatched to campaign workers"),
-		laneWords:   reg.NewGauge("scone_fault_lane_words_count", "Engine word width W of the most recently started campaign execution"),
 
 		runsReplayed:    reg.NewCounter("scone_fault_runs_replayed_total", "Campaign runs served from the result store without simulation"),
 		batchesReplayed: reg.NewCounter("scone_fault_batches_replayed_total", "Campaign batches served from the result store without simulation"),
@@ -103,13 +101,4 @@ func (m *metrics) countShard() {
 		return
 	}
 	m.shards.Inc()
-}
-
-// setLaneWords mirrors the engine word width of the execution being
-// started.
-func (m *metrics) setLaneWords(w int) {
-	if m == nil {
-		return
-	}
-	m.laneWords.Set(int64(w))
 }

@@ -56,17 +56,12 @@ func ParseModel(token string) (Model, bool) {
 	return 0, false
 }
 
-// EngineProbe attaches to a width-W EngineRunner and records one sample per
-// cycle per lane. Width is an execution detail: per-lane traces are
-// bit-identical across widths, because each lane's sample only reduces that
-// lane's own net values.
-type EngineProbe[W sim.Word] struct {
-	r     *core.EngineRunner[W]
+// Probe attaches to a Runner and records one sample per cycle per lane.
+type Probe struct {
+	r     *core.Runner
 	model Model
 	nets  int
-	lanes int
-	// prev[g*(nets+1)+n] is net n's previous-cycle word of lane group g.
-	prev []uint64
+	prev  []uint64
 	// include restricts sampling to a subset of nets (nil = all) — a
 	// localized EM probe rather than a global power measurement.
 	include []bool
@@ -74,38 +69,26 @@ type EngineProbe[W sim.Word] struct {
 	traces [][]float64
 }
 
-// Probe is the classic 64-lane probe; all pre-width-configuration call
-// sites use this instantiation.
-type Probe = EngineProbe[sim.Word1]
-
-// Attach installs a probe on a classic 64-lane runner's cycle hook. Only
-// one probe can be attached to a runner at a time.
+// Attach installs the probe on the runner's cycle hook. Only one probe can
+// be attached to a runner at a time.
 func Attach(r *core.Runner, model Model) *Probe {
-	return AttachEngine[sim.Word1](r, model)
-}
-
-// AttachEngine installs a probe on a width-W runner's cycle hook.
-func AttachEngine[W sim.Word](r *core.EngineRunner[W], model Model) *EngineProbe[W] {
-	lanes := r.S.LaneCount()
-	nets := r.D.Mod.NumNets()
-	p := &EngineProbe[W]{
+	p := &Probe{
 		r:     r,
 		model: model,
-		nets:  nets,
-		lanes: lanes,
-		prev:  make([]uint64, (lanes/64)*(nets+1)),
+		nets:  r.D.Mod.NumNets(),
+		prev:  make([]uint64, r.D.Mod.NumNets()+1),
 	}
 	r.CycleHook = p.sample
 	return p
 }
 
 // Detach removes the probe from the runner.
-func (p *EngineProbe[W]) Detach() { p.r.CycleHook = nil }
+func (p *Probe) Detach() { p.r.CycleHook = nil }
 
 // Restrict limits the probe to the given nets, modelling a localized EM
 // probe over one part of the die (e.g. one of the two computations).
 // Passing nil restores the global view.
-func (p *EngineProbe[W]) Restrict(nets []netlist.Net) {
+func (p *Probe) Restrict(nets []netlist.Net) {
 	if nets == nil {
 		p.include = nil
 		return
@@ -120,8 +103,8 @@ func (p *EngineProbe[W]) Restrict(nets []netlist.Net) {
 
 // BeginBatch resets the per-batch trace buffers; call before each
 // EncryptBatch whose traces should be captured.
-func (p *EngineProbe[W]) BeginBatch() {
-	p.traces = make([][]float64, p.lanes)
+func (p *Probe) BeginBatch() {
+	p.traces = make([][]float64, sim.Lanes)
 	for i := range p.prev {
 		p.prev[i] = 0
 	}
@@ -129,37 +112,32 @@ func (p *EngineProbe[W]) BeginBatch() {
 
 // Traces returns the recorded traces of the last batch: traces[lane][t] is
 // the leakage sample of that lane at cycle t.
-func (p *EngineProbe[W]) Traces() [][]float64 { return p.traces }
+func (p *Probe) Traces() [][]float64 { return p.traces }
 
 // sample is the cycle hook: it reduces the simulator's net values into one
 // leakage sample per lane.
-func (p *EngineProbe[W]) sample(cycle int) {
+func (p *Probe) sample(cycle int) {
+	var perLane [sim.Lanes]float64
 	s := p.r.S
-	groups := p.lanes / 64
-	perLane := make([]float64, p.lanes)
-	for g := 0; g < groups; g++ {
-		prev := p.prev[g*(p.nets+1) : (g+1)*(p.nets+1)]
-		base := g * 64
-		for n := 1; n <= p.nets; n++ {
-			if p.include != nil && !p.include[n] {
-				continue
-			}
-			w := s.NetWordGroup(netlist.Net(n), g)
-			var contrib uint64
-			if p.model == HammingDistance {
-				contrib = w ^ prev[n]
-				prev[n] = w
-			} else {
-				contrib = w
-			}
-			for contrib != 0 {
-				lane := mathbits.TrailingZeros64(contrib)
-				perLane[base+lane]++
-				contrib &= contrib - 1
-			}
+	for n := 1; n <= p.nets; n++ {
+		if p.include != nil && !p.include[n] {
+			continue
+		}
+		w := s.NetWord(netlist.Net(n))
+		var contrib uint64
+		if p.model == HammingDistance {
+			contrib = w ^ p.prev[n]
+			p.prev[n] = w
+		} else {
+			contrib = w
+		}
+		for contrib != 0 {
+			lane := mathbits.TrailingZeros64(contrib)
+			perLane[lane]++
+			contrib &= contrib - 1
 		}
 	}
-	for lane := 0; lane < p.lanes; lane++ {
+	for lane := 0; lane < sim.Lanes; lane++ {
 		p.traces[lane] = append(p.traces[lane], perLane[lane])
 	}
 }

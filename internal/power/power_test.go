@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/cipher/present"
 	"repro/internal/core"
-	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/spn"
 	"repro/internal/synth"
 )
@@ -150,70 +148,6 @@ func TestParseModel(t *testing.T) {
 		}
 		if ok && (m.String() == "") {
 			t.Errorf("model %v has empty name", m)
-		}
-	}
-}
-
-// Engine width is an execution detail: a probe on a Word2 or Word4 runner
-// must record bit-identical per-lane traces to the classic 64-lane probe,
-// under both leakage models.
-func TestEngineProbeWidthParity(t *testing.T) {
-	d := core.MustBuild(present.Spec(), core.Options{
-		Scheme: core.SchemeThreeInOne, Entropy: core.EntropyPrime, Engine: synth.EngineANF,
-	})
-	c, err := sim.CompileCached(d.Mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := make([]uint64, 64)
-	lam := make([]uint64, 64)
-	gen := rng.NewXoshiro(0x57A7E)
-	for i := range pts {
-		pts[i] = gen.Uint64()
-		lam[i] = gen.Bits(1)
-	}
-
-	for _, model := range []Model{HammingDistance, HammingWeight} {
-		trace := func(run func() [][]float64) [][]float64 { return run() }
-
-		classic := trace(func() [][]float64 {
-			r := core.NewRunnerFrom(d, c)
-			p := Attach(r, model)
-			p.BeginBatch()
-			r.EncryptBatch(pts, key, nil, core.LambdaConst(lam))
-			return p.Traces()
-		})
-		wide2 := trace(func() [][]float64 {
-			r := core.NewWideRunnerFrom[sim.Word2](d, c)
-			p := AttachEngine[sim.Word2](r, model)
-			p.BeginBatch()
-			r.EncryptBatch(pts, key, nil, core.LambdaConst(lam))
-			return p.Traces()
-		})
-		wide4 := trace(func() [][]float64 {
-			r := core.NewWideRunnerFrom[sim.Word4](d, c)
-			p := AttachEngine[sim.Word4](r, model)
-			p.BeginBatch()
-			r.EncryptBatch(pts, key, nil, core.LambdaConst(lam))
-			return p.Traces()
-		})
-
-		for lane := range pts {
-			for cyc := range classic[lane] {
-				if classic[lane][cyc] != wide2[lane][cyc] {
-					t.Fatalf("%v: Word2 lane %d cycle %d = %v, classic %v",
-						model, lane, cyc, wide2[lane][cyc], classic[lane][cyc])
-				}
-				if classic[lane][cyc] != wide4[lane][cyc] {
-					t.Fatalf("%v: Word4 lane %d cycle %d = %v, classic %v",
-						model, lane, cyc, wide4[lane][cyc], classic[lane][cyc])
-				}
-			}
-		}
-		// The wide runners' surplus lanes ran the all-zero stimulus; their
-		// traces exist and have the right shape.
-		if len(wide4) != 256 || len(wide4[255]) != d.CyclesPerRun() {
-			t.Fatalf("%v: Word4 probe shape %dx%d", model, len(wide4), len(wide4[255]))
 		}
 	}
 }

@@ -36,8 +36,7 @@ func NewXoshiro(seed uint64) *Xoshiro {
 
 // Reseed re-initialises the generator in place, exactly as NewXoshiro seeds
 // a fresh one: the subsequent output stream is identical. Campaign workers
-// reuse one generator per lane group to keep the batch hot path
-// allocation-free.
+// reuse one generator each to keep the batch hot path allocation-free.
 func (x *Xoshiro) Reseed(seed uint64) {
 	sm := seed
 	for i := range x.s {

@@ -36,10 +36,6 @@ type WorkerConfig struct {
 	// SimWorkers bounds the goroutines of one lease execution; 0 lets the
 	// engine default (GOMAXPROCS).
 	SimWorkers int
-	// SimLaneWords is the engine word width of lease executions (1, 2 or
-	// 4); 0 means 1. Pure execution policy: reported counts are
-	// bit-identical at every width.
-	SimLaneWords int
 	// OnLease, when set, runs synchronously after every successful
 	// acquire, before execution starts — the hook deterministic tests use
 	// to kill a worker at a known point.
@@ -270,7 +266,7 @@ func (w *Worker) execute(ctx context.Context, grant service.LeaseGrant) {
 
 	rep := service.LeaseReport{WorkerID: w.ID()}
 	camp, err := service.BuildCampaign(grant.Design, &grant.Campaign,
-		service.EngineDefaults{Workers: w.cfg.SimWorkers, LaneWords: w.cfg.SimLaneWords})
+		service.EngineDefaults{Workers: w.cfg.SimWorkers})
 	if err != nil {
 		rep.Error = err.Error()
 		_ = w.client.FailLease(ctx, grant.LeaseID, rep)

@@ -200,15 +200,13 @@ func buildLeakage(req JobRequest) (*leakage.Evaluator, error) {
 }
 
 // EngineDefaults carries a host's execution-policy defaults — the values a
-// campaign spec falls back to when its own Workers/LaneWords fields are
-// zero. The service fills it from Config, the distributed worker from its
+// campaign spec falls back to when its own Workers field is zero. The
+// service fills it from Config, the distributed worker from its
 // WorkerConfig; either way it never influences results or content
 // addresses, only how fast the machine computes them.
 type EngineDefaults struct {
 	// Workers is the fallback simulation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// LaneWords is the fallback engine word width (0 = 1).
-	LaneWords int
 }
 
 // BuildCampaign synthesises the design and assembles the engine campaign

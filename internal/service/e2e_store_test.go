@@ -264,3 +264,104 @@ func TestE2EStoreDistributedResubmitGrantsNoLeases(t *testing.T) {
 		t.Fatal("worker did not stop")
 	}
 }
+
+// engineRequest is e2eRequest with explicit execution policy.
+func engineRequest(runs int, entropy string, workers, batchRuns int) service.JobRequest {
+	req := e2eRequest(runs, entropy)
+	req.Campaign.Workers = workers
+	req.Campaign.BatchRuns = batchRuns
+	return req
+}
+
+// TestE2EStoreReplayAcrossEngineConfigs proves that worker parallelism and
+// dispatch granularity are pure execution policy on the wire: a campaign
+// cached by one worker with one-batch shards ("narrow") must be a full store
+// hit when resubmitted with eight workers and 512-run shards ("wide") —
+// zero runs simulated, every batch replayed, the bit-identical result — and
+// the same must hold in the reverse direction. The content address knows
+// nothing about how the batches were computed.
+func TestE2EStoreReplayAcrossEngineConfigs(t *testing.T) {
+	cases := []struct {
+		name       string
+		cold, warm service.JobRequest
+	}{
+		{
+			name: "narrow-then-wide",
+			cold: engineRequest(e2eRuns, "per-round", 1, 0),
+			warm: engineRequest(e2eRuns, "per-round", 8, 512),
+		},
+		{
+			name: "wide-then-narrow",
+			cold: engineRequest(e2eRuns, "per-sbox", 8, 512),
+			warm: engineRequest(e2eRuns, "per-sbox", 1, 0),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := service.Config{Workers: 1, CheckpointEveryRuns: 64, StateDir: t.TempDir()}
+			ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+			defer cancel()
+			svc, srv, c := storeDaemon(t, cfg)
+			defer func() { srv.Close(); svc.Close() }()
+
+			entropy := tc.cold.Design.Entropy
+			first := submitAndWait(t, ctx, c, tc.cold)
+			if want := directResult(t, e2eRuns, entropy); first != want {
+				t.Fatalf("cold run diverged from direct execution:\n got  %+v\n want %+v", first, want)
+			}
+
+			before, err := c.Metrics(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second := submitAndWait(t, ctx, c, tc.warm)
+			if second != first {
+				t.Fatalf("replayed result diverged across engine configs:\n got  %+v\n want %+v", second, first)
+			}
+			after, err := c.Metrics(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sim := after["runs_simulated_total"] - before["runs_simulated_total"]; sim != 0 {
+				t.Errorf("reconfigured resubmission simulated %d runs, want 0", sim)
+			}
+			if rep := after["runs_replayed_total"] - before["runs_replayed_total"]; rep != e2eRuns {
+				t.Errorf("runs_replayed_total advanced by %d, want %d", rep, e2eRuns)
+			}
+
+			// Both submissions share one campaign digest: execution policy
+			// never enters the content address.
+			runs, err := c.StoredRuns(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(runs) != 2 {
+				t.Fatalf("stored %d run records, want 2", len(runs))
+			}
+			if runs[0].Campaign == "" || runs[0].Campaign != runs[1].Campaign {
+				t.Errorf("engine configs changed the campaign digest: %q vs %q",
+					runs[0].Campaign, runs[1].Campaign)
+			}
+			if runs[1].SimulatedBatches != 0 || runs[1].ReplayedBatches == 0 {
+				t.Errorf("warm run record %+v, want all batches replayed", runs[1])
+			}
+		})
+	}
+}
+
+// TestE2ECampaignSpecRejectsBadEngineConfig pins the synchronous-400
+// contract for the campaign spec's execution-policy fields.
+func TestE2ECampaignSpecRejectsBadEngineConfig(t *testing.T) {
+	req := engineRequest(e2eRuns, "prime", -1, 0)
+	if err := req.Validate(); err == nil {
+		t.Error("workers=-1 validated")
+	}
+	req = engineRequest(e2eRuns, "prime", 0, -5)
+	if err := req.Validate(); err == nil {
+		t.Error("batch_runs=-5 validated")
+	}
+	req = engineRequest(e2eRuns, "prime", 4, 128)
+	if err := req.Validate(); err != nil {
+		t.Errorf("valid engine config rejected: %v", err)
+	}
+}

@@ -143,28 +143,17 @@ type CampaignSpec struct {
 	// Workers bounds the goroutines of this campaign's simulation; 0
 	// uses the service default.
 	Workers int `json:"workers,omitempty"`
-	// LaneWords selects the simulation engine's word width W (1, 2 or
-	// 4): one simulator pass evaluates W×64 lanes. 0 uses the service
-	// default. Pure execution policy — results, content addresses and
-	// cached batches are identical at every width.
-	LaneWords int `json:"lane_words,omitempty"`
 	// BatchRuns is the per-dispatch shard size in runs, rounded up to
-	// whole lane groups; 0 uses one lane group. Execution policy only,
-	// like LaneWords.
+	// whole 64-run batches; 0 uses one batch. Execution policy only, like
+	// Workers: results, content addresses and cached batches are
+	// identical at every setting.
 	BatchRuns int `json:"batch_runs,omitempty"`
 }
 
 // engineConfig folds the spec's execution-policy fields and the service
 // default into the engine's configuration type.
 func (c *CampaignSpec) engineConfig(def EngineDefaults) fault.EngineConfig {
-	cfg := fault.EngineConfig{
-		LaneWords:   c.LaneWords,
-		Parallelism: c.Workers,
-		BatchRuns:   c.BatchRuns,
-	}
-	if cfg.LaneWords == 0 {
-		cfg.LaneWords = def.LaneWords
-	}
+	cfg := fault.EngineConfig{Parallelism: c.Workers, BatchRuns: c.BatchRuns}
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = def.Workers
 	}
@@ -319,7 +308,7 @@ func (r *JobRequest) Validate() error {
 		if c.Workers < 0 {
 			return fmt.Errorf("campaign needs a non-negative worker count (got %d)", c.Workers)
 		}
-		if err := (fault.EngineConfig{LaneWords: c.LaneWords, BatchRuns: c.BatchRuns}).Validate(); err != nil {
+		if err := (fault.EngineConfig{BatchRuns: c.BatchRuns}).Validate(); err != nil {
 			return err
 		}
 		if c.Persistent != nil {

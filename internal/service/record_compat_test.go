@@ -3,8 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -85,4 +88,98 @@ func TestResumeRecordedMidFlightJobs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResumeRecordWithRemovedLaneWidth is the upgrade path for the removed
+// lane-width option. testdata/jobs/campaign-lane-words.json is a mid-flight
+// campaign record written by a build that still accepted "lane_words"; its
+// request carries lane_words 4. The record must still load and resume once
+// to the uninterrupted result, and the field is dropped when the record is
+// saved again. A new submission naming the field is a 400 that names it.
+func TestResumeRecordWithRemovedLaneWidth(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "jobs", "campaign-lane-words.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"lane_words": 4`)) {
+		t.Fatal("fixture lost its lane_words field")
+	}
+	var rec jobRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Req.Kind != KindCampaign || rec.State != StateQueued || rec.Checkpoint == nil {
+		t.Fatalf("fixture is not a queued mid-flight campaign: kind %s state %s", rec.Req.Kind, rec.State)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs", rec.ID+".json")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed := newTestService(t, Config{Workers: 1, CheckpointEveryRuns: 64, StateDir: dir})
+	got := waitTerminal(t, resumed, rec.ID)
+	if got.State != StateDone {
+		t.Fatalf("resumed job ended %s (%s)", got.State, got.Error)
+	}
+	if got.Resumed != 1 {
+		t.Errorf("Resumed = %d, want 1", got.Resumed)
+	}
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(saved, []byte("lane_words")) {
+		t.Errorf("re-saved record still carries lane_words:\n%s", saved)
+	}
+
+	fresh := newTestService(t, Config{Workers: 1, CheckpointEveryRuns: 64})
+	st, err := fresh.Submit(rec.Req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitTerminal(t, fresh, st.ID)
+	if want.State != StateDone {
+		t.Fatalf("uninterrupted job ended %s (%s)", want.State, want.Error)
+	}
+	if *got.Result.Campaign != *want.Result.Campaign {
+		t.Errorf("resumed result %+v differs from uninterrupted run %+v", *got.Result.Campaign, *want.Result.Campaign)
+	}
+
+	// The wire no longer knows the field: the strict decoder rejects it.
+	srv := httptest.NewServer(fresh.Handler())
+	defer srv.Close()
+	body := string(bytes.Replace(mustJSON(t, rec.Req), []byte(`"faults":`), []byte(`"lane_words":4,"faults":`), 1))
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(env.Error.Message, "lane_words") {
+		t.Errorf("POST with lane_words = %d %+v, want 400 naming the field", resp.StatusCode, env.Error)
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

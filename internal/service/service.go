@@ -38,12 +38,6 @@ type Config struct {
 	// SimWorkers bounds the goroutines inside one campaign execution
 	// (fault.EngineConfig.Parallelism). Default GOMAXPROCS.
 	SimWorkers int
-	// SimLaneWords is the default engine word width of campaign
-	// executions (fault.EngineConfig.LaneWords): 1, 2 or 4, where one
-	// simulator pass evaluates SimLaneWords×64 lanes. Default 1. Pure
-	// execution policy — results and stored batch digests are identical
-	// at every width.
-	SimLaneWords int
 	// Obs is the metrics registry the service registers its instruments
 	// on. nil creates a private registry, which keeps multiple Service
 	// instances in one process from sharing counters; the daemon passes a
@@ -70,16 +64,13 @@ func (c Config) withDefaults() Config {
 	if c.SimWorkers <= 0 {
 		c.SimWorkers = runtime.GOMAXPROCS(0)
 	}
-	if c.SimLaneWords <= 0 {
-		c.SimLaneWords = 1
-	}
 	return c
 }
 
 // engineDefaults is the execution-policy fallback campaign specs without
-// explicit workers/lane_words resolve against.
+// explicit workers resolve against.
 func (c Config) engineDefaults() EngineDefaults {
-	return EngineDefaults{Workers: c.SimWorkers, LaneWords: c.SimLaneWords}
+	return EngineDefaults{Workers: c.SimWorkers}
 }
 
 // ErrUnknownJob is returned for IDs the service has never seen.

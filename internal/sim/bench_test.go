@@ -40,7 +40,7 @@ func benchRandomEval(b *testing.B, eval func(*Simulator)) {
 	for i := range vals {
 		vals[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
 	}
-	s.SetInputLaneWords("x", vals[:8])
+	s.SetInputWords("x", vals[:8])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eval(s)

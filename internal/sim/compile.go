@@ -165,13 +165,8 @@ func lower(m *netlist.Module, order, dffs []int) *program {
 }
 
 // evalRange executes fast-stream instructions [lo, hi) against the value
-// slots: one opcode dispatch per run, then a tight specialised loop. It is
-// generic over the lane-word width; each instantiation's inner loops
-// operate on fixed-size [W]uint64 arrays, which the compiler unrolls (and,
-// for W > 1, can auto-vectorize into 128/256-bit SIMD ops). Wider words
-// amortise the per-instruction dispatch and operand-index loads over W
-// times the lanes — the engine's main single-core throughput lever.
-func evalRange[W Word](p *program, v []W, lo, hi int) {
+// slots: one opcode dispatch per run, then a tight specialised loop.
+func (p *program) evalRange(v []uint64, lo, hi int) {
 	for _, r := range p.runs {
 		if int(r.lo) >= hi {
 			return
@@ -192,76 +187,37 @@ func evalRange[W Word](p *program, v []W, lo, hi int) {
 		switch netlist.CellKind(r.op) {
 		case netlist.KindInv:
 			for i, o := range out {
-				x := v[in0[i]]
-				var d W
-				for k := 0; k < len(d); k++ {
-					d[k] = ^x[k]
-				}
-				v[o] = d
+				v[o] = ^v[in0[i]]
 			}
 		case netlist.KindAnd2:
 			for i, o := range out {
-				x, y := v[in0[i]], v[in1[i]]
-				var d W
-				for k := 0; k < len(d); k++ {
-					d[k] = x[k] & y[k]
-				}
-				v[o] = d
+				v[o] = v[in0[i]] & v[in1[i]]
 			}
 		case netlist.KindOr2:
 			for i, o := range out {
-				x, y := v[in0[i]], v[in1[i]]
-				var d W
-				for k := 0; k < len(d); k++ {
-					d[k] = x[k] | y[k]
-				}
-				v[o] = d
+				v[o] = v[in0[i]] | v[in1[i]]
 			}
 		case netlist.KindNand2:
 			for i, o := range out {
-				x, y := v[in0[i]], v[in1[i]]
-				var d W
-				for k := 0; k < len(d); k++ {
-					d[k] = ^(x[k] & y[k])
-				}
-				v[o] = d
+				v[o] = ^(v[in0[i]] & v[in1[i]])
 			}
 		case netlist.KindNor2:
 			for i, o := range out {
-				x, y := v[in0[i]], v[in1[i]]
-				var d W
-				for k := 0; k < len(d); k++ {
-					d[k] = ^(x[k] | y[k])
-				}
-				v[o] = d
+				v[o] = ^(v[in0[i]] | v[in1[i]])
 			}
 		case netlist.KindXor2:
 			for i, o := range out {
-				x, y := v[in0[i]], v[in1[i]]
-				var d W
-				for k := 0; k < len(d); k++ {
-					d[k] = x[k] ^ y[k]
-				}
-				v[o] = d
+				v[o] = v[in0[i]] ^ v[in1[i]]
 			}
 		case netlist.KindXnor2:
 			for i, o := range out {
-				x, y := v[in0[i]], v[in1[i]]
-				var d W
-				for k := 0; k < len(d); k++ {
-					d[k] = ^(x[k] ^ y[k])
-				}
-				v[o] = d
+				v[o] = ^(v[in0[i]] ^ v[in1[i]])
 			}
 		case netlist.KindMux2:
 			in2 := p.rIn2[a:b]
 			for i, o := range out {
-				x, y, s := v[in0[i]], v[in1[i]], v[in2[i]]
-				var d W
-				for k := 0; k < len(d); k++ {
-					d[k] = (x[k] &^ s[k]) | (y[k] & s[k])
-				}
-				v[o] = d
+				sel := v[in2[i]]
+				v[o] = (v[in0[i]] &^ sel) | (v[in1[i]] & sel)
 			}
 		}
 	}

@@ -99,8 +99,8 @@ func TestCompiledMatchesReferenceCombinational(t *testing.T) {
 			for i := range words {
 				words[i] = gen.Uint64()
 			}
-			fast.SetInputLaneWords("x", words)
-			ref.SetInputLaneWords("x", words)
+			fast.SetInputWords("x", words)
+			ref.SetInputWords("x", words)
 			fast.Eval()
 			ref.EvalReference()
 			compareAllNets(t, m, fast, ref, "combinational")
@@ -136,11 +136,11 @@ func TestCompiledMatchesReferenceSequential(t *testing.T) {
 			for i := range words {
 				words[i] = gen.Uint64()
 			}
-			fast.SetInputLaneWords("x", words)
-			ref.SetInputLaneWords("x", words)
+			fast.SetInputWords("x", words)
+			ref.SetInputWords("x", words)
 			for cyc := 0; cyc < 6; cyc++ {
 				fast.Step()
-				stepReference(ref)
+				ref.stepReference()
 				compareAllNets(t, m, fast, ref, "sequential")
 			}
 			_ = ii
@@ -157,13 +157,12 @@ func referenceSimulator(c *Compiled) *Simulator {
 }
 
 // stepReference is Step with EvalReference as the combinational pass — the
-// pre-rewrite cycle semantics, for differential testing. (A plain function:
-// methods cannot be added to the instantiated generic Simulator.)
-func stepReference(s *Simulator) {
+// pre-rewrite cycle semantics, for differential testing.
+func (s *Simulator) stepReference() {
 	s.EvalReference()
 	p := s.c.prog
 	if cap(s.dffTmp) < len(p.dffInFull) {
-		s.dffTmp = make([]Word1, len(p.dffInFull))
+		s.dffTmp = make([]uint64, len(p.dffInFull))
 	}
 	tmp := s.dffTmp[:len(p.dffInFull)]
 	for i, idx := range p.dffInFull {
@@ -172,7 +171,7 @@ func stepReference(s *Simulator) {
 	for i, o := range p.dffOut {
 		out := tmp[i]
 		if s.hasFault != nil && s.hasFault[o] {
-			out[0] = s.injector.Apply(s.cycle, netlist.Net(o), out[0])
+			out = s.injector.Apply(s.cycle, netlist.Net(o), out)
 		}
 		s.values[o] = out
 	}

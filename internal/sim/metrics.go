@@ -15,8 +15,6 @@ type metrics struct {
 	compiles    *obs.Counter
 	evals       *obs.Counter
 	lanes       *obs.Counter
-	laneWords   *obs.Gauge
-	wideEngines *obs.Counter
 	progInsts   *obs.Gauge
 	progRuns    *obs.Gauge
 }
@@ -37,30 +35,17 @@ func EnableObservability(reg *obs.Registry) {
 		cacheMisses: reg.NewCounter("scone_sim_compile_cache_misses_total", "CompileCached requests that triggered a fresh compilation"),
 		compiles:    reg.NewCounter("scone_sim_compiles_total", "Modules lowered to instruction streams"),
 		evals:       reg.NewCounter("scone_sim_evals_total", "Combinational evaluation passes executed"),
-		lanes:       reg.NewCounter("scone_sim_lanes_total", "Simulation lanes evaluated (64 x lane words per eval pass)"),
-		laneWords:   reg.NewGauge("scone_sim_lane_words_count", "Word width W of the most recently constructed engine"),
-		wideEngines: reg.NewCounter("scone_sim_wide_engines_total", "Engines constructed with a word width above one"),
+		lanes:       reg.NewCounter("scone_sim_lanes_total", "Simulation lanes evaluated (64 per eval pass)"),
 		progInsts:   reg.NewGauge("scone_sim_run_table_instructions_count", "Fast-stream instructions in the most recently compiled module"),
 		progRuns:    reg.NewGauge("scone_sim_run_table_runs_count", "Homogeneous opcode runs in the most recently compiled module"),
 	})
 }
 
-// countEval records one combinational pass over the given lane count;
-// called from Eval.
-func countEval(lanes int) {
+// countEval records one combinational pass; called from Eval.
+func countEval() {
 	if m := met.Load(); m != nil {
 		m.evals.Inc()
-		m.lanes.Add(int64(lanes))
-	}
-}
-
-// countNewEngine records an engine construction and its word width.
-func countNewEngine(laneWords int) {
-	if m := met.Load(); m != nil {
-		m.laneWords.Set(int64(laneWords))
-		if laneWords > 1 {
-			m.wideEngines.Inc()
-		}
+		m.lanes.Add(Lanes)
 	}
 }
 

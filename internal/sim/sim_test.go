@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 // buildGateModule creates a module computing every 2-input kind of one
@@ -204,4 +206,67 @@ func TestSetInputUnknownPortPanics(t *testing.T) {
 		}
 	}()
 	s.SetInputBroadcast("nope", 1)
+}
+
+// TestOutputIntoReusesBuffer pins the allocation contract of the campaign
+// hot path: OutputInto must fill the caller's buffer and return it.
+func TestOutputIntoReusesBuffer(t *testing.T) {
+	m := netlist.New("buf1")
+	in := m.AddInput("x", 1)
+	m.AddOutput("y", netlist.Bus{m.Buf(in[0])})
+	s := New(m)
+	vals := make([]uint64, Lanes)
+	for i := range vals {
+		vals[i] = uint64(i) & 1
+	}
+	s.SetInput("x", vals)
+	s.Eval()
+	buf := make([]uint64, Lanes)
+	out := s.OutputInto("y", buf)
+	if &out[0] != &buf[0] {
+		t.Fatal("OutputInto did not fill the provided buffer")
+	}
+	for i, v := range vals {
+		if out[i] != v {
+			t.Fatalf("lane %d: y = %d, want %d", i, out[i], v)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for short buffer")
+		}
+	}()
+	s.OutputInto("y", make([]uint64, Lanes-1))
+}
+
+// TestMetricsCountPasses checks the simulator's instruments: every Eval is
+// one 64-lane pass, a fresh compilation is counted once, and no lane-width
+// family is exported (the simulator has one width).
+func TestMetricsCountPasses(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableObservability(reg)
+	defer EnableObservability(nil)
+
+	s := MustCompile(buildGateModule()).NewSimulator()
+	for i := 0; i < 3; i++ {
+		s.Eval()
+	}
+	var dump strings.Builder
+	if err := reg.WritePrometheus(&dump); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"scone_sim_compiles_total 1",
+		"scone_sim_evals_total 3",
+		"scone_sim_lanes_total 192",
+	} {
+		if !strings.Contains(dump.String(), want+"\n") {
+			t.Errorf("metric %q missing from:\n%s", want, dump.String())
+		}
+	}
+	for _, gone := range []string{"lane_words", "wide_engines"} {
+		if strings.Contains(dump.String(), gone) {
+			t.Errorf("exposition still carries %q:\n%s", gone, dump.String())
+		}
+	}
 }

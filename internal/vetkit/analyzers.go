@@ -9,7 +9,7 @@ import (
 
 // Analyzers returns the repository's vet passes in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NoRand, CachedCompile, CtxExecute, EngineCfg, ObsNames, ProveBudget, V1Routes}
+	return []*Analyzer{NoRand, CachedCompile, CtxExecute, ObsNames, ProveBudget, V1Routes}
 }
 
 // NoRand forbids math/rand outside test files and internal/rng.
@@ -108,78 +108,6 @@ var CachedCompile = &Analyzer{
 				}
 				return true
 			})
-		}
-	},
-}
-
-// coreImportPath is the runner package EngineCfg guards alongside the
-// simulator, and engineCfgDirs the packages allowed to construct engines
-// directly: the simulator itself, the runner layer wrapping it, and the
-// campaign executor that instantiates engines behind EngineConfig.resolve.
-const coreImportPath = "repro/internal/core"
-
-var engineCfgDirs = []string{"internal/sim/", "internal/core/", "internal/fault/"}
-
-// engineCfgFuncs maps each guarded import path to its engine constructor.
-var engineCfgFuncs = map[string]string{
-	simImportPath:  "NewEngine",
-	coreImportPath: "NewWideRunnerFrom",
-}
-
-// EngineCfg forbids direct engine construction outside the engine layers.
-// sim.NewEngine and core.NewWideRunnerFrom instantiate a width without
-// passing through fault.EngineConfig's validator, so a caller elsewhere in
-// the tree could run a lane width the configuration surface rejects — and
-// would sidestep the worker sharding that keeps campaign results
-// bit-identical. Everything above the campaign executor selects its engine
-// through EngineConfig.
-var EngineCfg = &Analyzer{
-	Name: "enginecfg",
-	Doc:  "forbid direct engine construction (sim.NewEngine, core.NewWideRunnerFrom) outside internal/sim, internal/core and internal/fault (configure fault.EngineConfig)",
-	Run: func(p *Pass) {
-		for _, f := range p.Files {
-			if f.Test {
-				continue
-			}
-			scoped := false
-			for _, dir := range engineCfgDirs {
-				if strings.HasPrefix(f.Dir(), dir) {
-					scoped = true
-					break
-				}
-			}
-			if scoped {
-				continue
-			}
-			for path, ctor := range engineCfgFuncs {
-				local := importName(f.AST, path)
-				if local == "" || local == "_" || local == "." {
-					continue
-				}
-				ast.Inspect(f.AST, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					// Generic constructors may appear instantiated
-					// (pkg.New[W](...)) or inferred (pkg.New(...)).
-					fun := call.Fun
-					switch e := fun.(type) {
-					case *ast.IndexExpr:
-						fun = e.X
-					case *ast.IndexListExpr:
-						fun = e.X
-					}
-					sel, ok := fun.(*ast.SelectorExpr)
-					if !ok || sel.Sel.Name != ctor {
-						return true
-					}
-					if id, ok := sel.X.(*ast.Ident); ok && id.Name == local && id.Obj == nil {
-						p.Reportf(call.Pos(), "direct %s.%s call bypasses the engine-configuration validator: set fault.EngineConfig on the campaign", local, ctor)
-					}
-					return true
-				})
-			}
 		}
 	},
 }

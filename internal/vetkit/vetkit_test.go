@@ -294,77 +294,6 @@ func h(mux interface {
 	}
 }
 
-func TestEngineCfg(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		// Instantiated and inferred generic calls outside the engine
-		// layers are both findings.
-		"internal/attack/bad.go": `package attack
-
-import "repro/internal/sim"
-
-func f(c *sim.Compiled) { _ = sim.NewEngine[sim.Word4](c) }
-`,
-		"cmd/sconetrace/bad.go": `package main
-
-import (
-	"repro/internal/core"
-	"repro/internal/sim"
-)
-
-func g(d *core.Design, c *sim.Compiled) { _ = core.NewWideRunnerFrom(d, c) }
-`,
-		// The engine layers themselves construct freely.
-		"internal/fault/ok.go": `package fault
-
-import (
-	"repro/internal/core"
-	"repro/internal/sim"
-)
-
-func h(d *core.Design, c *sim.Compiled) { _ = core.NewWideRunnerFrom[sim.Word2](d, c) }
-`,
-		"internal/core/ok.go": `package core
-
-import "repro/internal/sim"
-
-type Design struct{}
-
-func NewWideRunnerFrom(d *Design, c *sim.Compiled) any { return sim.NewEngine[sim.Word1](c) }
-`,
-		// Tests may build engines directly (the sim parity tests do).
-		"internal/attack/ok_test.go": `package attack
-
-import "repro/internal/sim"
-
-func t(c *sim.Compiled) { _ = sim.NewEngine[sim.Word1](c) }
-`,
-		"internal/sim/sim.go": `package sim
-
-type Compiled struct{}
-type Word1 [1]uint64
-type Word2 [2]uint64
-type Word4 [4]uint64
-
-func NewEngine[W any](c *Compiled) any { return nil }
-`,
-	})
-	diags, err := Run(root, []*Analyzer{EngineCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 2 {
-		t.Fatalf("got %d findings, want 2: %v", len(diags), diags)
-	}
-	for _, d := range diags {
-		if d.Pos.Filename != "internal/attack/bad.go" && d.Pos.Filename != "cmd/sconetrace/bad.go" {
-			t.Errorf("finding in wrong file: %s", d.String())
-		}
-		if !strings.Contains(d.Message, "fault.EngineConfig") {
-			t.Errorf("message should point at the configuration surface: %s", d.String())
-		}
-	}
-}
-
 func TestSkipsTestdataAndHiddenDirs(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"pkg/testdata/bad.go": "package broken !!!\n",

@@ -162,29 +162,23 @@ func LambdaConst(vals []uint64) LambdaFunc { return core.LambdaConst(vals) }
 // Simulation layer
 //
 // The simulator is mostly an implementation detail behind Runner and
-// Campaign; the facade exposes its logical batch size and the engine
-// configuration selecting how wide and how parallel that batch executes.
+// Campaign; the facade exposes its 64-lane batch size and the engine
+// configuration selecting how parallel campaign execution is.
 // ---------------------------------------------------------------------------
 
-// BatchLanes is the campaign's logical batch size: batch randomness,
-// checkpoints, lease ranges and stored results are all addressed in
-// BatchLanes-run units, regardless of the engine configuration executing
-// them (an EngineConfig with LaneWords W evaluates W such batches per
-// simulator pass).
+// BatchLanes is the campaign's batch size, one simulator pass: batch
+// randomness, checkpoints, lease ranges and stored results are all
+// addressed in BatchLanes-run units, regardless of the engine
+// configuration executing them.
 const BatchLanes = sim.Lanes
 
-// EngineConfig is the campaign engine's execution configuration: simulator
-// word width (LaneWords — one pass evaluates LaneWords×64 lanes), worker
-// parallelism, and dispatch granularity. It is pure execution policy: every
-// configuration computes bit-identical results and leaves content-addressed
-// stored batches valid. Set it on Campaign.Engine (or through
-// BoundCampaign.WithEngine).
+// EngineConfig is the campaign engine's execution configuration: worker
+// parallelism and dispatch granularity. The zero value is the default
+// (GOMAXPROCS workers, one batch per dispatch). It is pure execution
+// policy: every configuration computes bit-identical results and leaves
+// content-addressed stored batches valid. Set it on Campaign.Engine (or
+// through BoundCampaign.WithEngine).
 type EngineConfig = fault.EngineConfig
-
-// DefaultEngineConfig returns the explicit form of the zero-value engine
-// configuration: width 1, GOMAXPROCS parallelism, one lane group per
-// dispatch.
-func DefaultEngineConfig() EngineConfig { return fault.DefaultEngineConfig() }
 
 // ---------------------------------------------------------------------------
 // Fault-injection layer
@@ -268,7 +262,7 @@ func NewCampaign(ctx context.Context, d *Design, key KeyState, runs int, seed ui
 //
 //	camp, err := scone.NewCampaign(ctx, d, key, runs, seed, faults...)
 //	...
-//	camp, err = camp.WithEngine(scone.EngineConfig{LaneWords: 4})
+//	camp, err = camp.WithEngine(scone.EngineConfig{Parallelism: 4, BatchRuns: 1024})
 //
 // The configuration never changes results — only how fast the machine
 // computes them.
