@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-full bench-smoke fmt fmt-check vet lint sconelint fuzz serve e2e e2e-dist e2e-store e2e-prove e2e-multifault e2e-leakage ci
+.PHONY: all build test race bench bench-e2e bench-full bench-smoke fmt fmt-check vet lint sconelint fuzz serve e2e e2e-dist e2e-store e2e-prove e2e-multifault e2e-leakage ci
 
 all: build test
 
@@ -23,6 +23,17 @@ race:
 # so the perf trajectory is tracked per commit.
 bench:
 	$(GO) run ./cmd/sconebench -short -o sconebench.json
+
+# The repository benchmark (BENCHMARK.json): one 45 s run of an e2ebench
+# workload against an in-process sconed, e.g.
+# `make bench-e2e WORKLOAD=campaign-cold SEED=7 TRACE=1`. TRACE=1 adds the
+# per-layer attribution of a traced run. Build output and daemon state stay
+# under the git-ignored .bench_build/.
+WORKLOAD ?= analysis
+SEED ?= 1
+TRACE ?= 0
+bench-e2e:
+	bash e2ebench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 45 --trace $(TRACE)
 
 # Full go-test benchmark run (slow; one benchmark per paper table/figure
 # plus the raw gate-eval throughput benchmarks).

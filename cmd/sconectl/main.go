@@ -298,10 +298,11 @@ func cmdResults(ctx context.Context, c *client.Client, args []string, stdout, st
 }
 
 // cmdProve submits a prove job: the daemon runs the formal independence
-// prover over the design's tagged fault points, checkpointing after every
-// (fault location, model) pair. Progress events land at pair granularity,
-// and a daemon killed mid-run resumes from its last completed pair — watch
-// the resumed job with `sconectl watch` and the resumed counter in `get`.
+// prover over the design's tagged fault points, checkpointing every 32
+// (fault location, model) pairs and when the job stops early. Progress
+// events land at those checkpoints; a drained daemon resumes from its last
+// completed pair and a killed one re-proves at most one chunk — watch the
+// resumed job with `sconectl watch` and the resumed counter in `get`.
 func cmdProve(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sconectl prove", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -347,10 +348,11 @@ func cmdProve(ctx context.Context, c *client.Client, args []string, stdout, stde
 }
 
 // cmdLeakage submits a leakage job: the daemon runs a fixed-vs-random
-// TVLA evaluation of the design, checkpointing after every trace batch.
-// Progress events land at pair granularity, and a daemon killed
-// mid-evaluation resumes by simulating exactly the remaining batches —
-// the final t-statistics are bit-identical to an uninterrupted run.
+// TVLA evaluation of the design, checkpointing every 8 trace batches and
+// when the job stops early. Progress events land at those checkpoints; a
+// drained daemon resumes by simulating exactly the remaining batches, a
+// killed one re-simulates at most one chunk, and the final t-statistics
+// are bit-identical to an uninterrupted run either way.
 func cmdLeakage(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sconectl leakage", flag.ContinueOnError)
 	fs.SetOutput(stderr)

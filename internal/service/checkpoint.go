@@ -21,7 +21,12 @@ import (
 // through the Leakage field instead; at most one of the four shapes is
 // ever populated. A leakage checkpoint is the evaluator's own
 // leakage.State, whose float64 accumulator fields round-trip JSON
-// bit-exactly.
+// bit-exactly. Campaigns checkpoint every CheckpointEveryRuns runs, prove
+// jobs every proveCheckpointPairs pairs and leakage jobs every
+// leakageCheckpointBatches trace batches; each kind also checkpoints after
+// its last unit and when it stops early (drain, cancel, error), so a
+// drained job resumes exactly where it stopped and a killed one repeats at
+// most one chunk.
 type Checkpoint struct {
 	NextBatch  int                   `json:"next_batch"`
 	Counts     CampaignResult        `json:"counts"`
@@ -34,7 +39,10 @@ type Checkpoint struct {
 // are deterministic per (location, model) pair and the service walks the
 // pairs in a fixed order (locations outer, models inner), so the completed
 // prefix — the pairs in Done — plus the next pair index is sufficient to
-// resume without re-proving anything.
+// resume without re-proving anything. It is written at chunk boundaries,
+// not after every pair, so NextPair is a multiple of proveCheckpointPairs
+// unless the job stopped early or finished; a resume accepts any NextPair
+// in 0..total with exactly NextPair entries in Done.
 type ProveCheckpoint struct {
 	NextPair int             `json:"next_pair"`
 	Done     []ProveLocation `json:"done"`

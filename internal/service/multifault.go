@@ -26,8 +26,9 @@ type placement struct {
 // campaign — the same (seed, batch) derivation as a standalone campaign job
 // with the same spec, so placement tallies replay from the result store and
 // are bit-identical whether executed locally, through the lease fabric, or
-// spliced from cache. Every placement boundary is a checkpoint, mirroring
-// runProve's pair-granular resume.
+// spliced from cache. Every placement boundary is a checkpoint: a placement
+// is a whole campaign, so unlike prove pairs and leakage batches it is
+// worth a record of its own.
 func (s *Service) runMultiFault(ctx context.Context, j *job) (*JobResult, error) {
 	d, err := BuildDesign(j.req.Design)
 	if err != nil {

@@ -183,3 +183,46 @@ func mustJSON(t *testing.T, v any) []byte {
 	}
 	return b
 }
+
+// TestResumeRejectsOutOfRangeCheckpoints feeds hand-edited copies of the
+// prove and campaign fixtures whose resume point lies outside the job. A
+// restored checkpoint must be bound-checked before it indexes anything:
+// the job fails with an error naming the bad field instead of panicking
+// its worker or returning a short result.
+func TestResumeRejectsOutOfRangeCheckpoints(t *testing.T) {
+	cases := []struct {
+		name, fixture, want string
+		edit                func(cp *Checkpoint)
+	}{
+		{"prove negative pair", "prove", "outside", func(cp *Checkpoint) { cp.Prove.NextPair = -1 }},
+		{"prove pair past end", "prove", "outside", func(cp *Checkpoint) { cp.Prove.NextPair = 1 << 20 }},
+		{"prove done/next mismatch", "prove", "done pairs", func(cp *Checkpoint) { cp.Prove.NextPair++ }},
+		{"campaign negative batch", "campaign", "outside", func(cp *Checkpoint) { cp.NextBatch = -1 }},
+		{"campaign batch past end", "campaign", "outside", func(cp *Checkpoint) { cp.NextBatch = 1 << 20 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", "jobs", tc.fixture+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rec jobRecord
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(rec.Checkpoint)
+			dir := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "jobs", rec.ID+".json"), mustJSON(t, &rec), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := newTestService(t, Config{Workers: 1, CheckpointEveryRuns: 64, StateDir: dir})
+			got := waitTerminal(t, s, rec.ID)
+			if got.State != StateFailed || !strings.Contains(got.Error, tc.want) {
+				t.Fatalf("job ended %s (%q), want failed with an error containing %q", got.State, got.Error, tc.want)
+			}
+		})
+	}
+}

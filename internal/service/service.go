@@ -555,6 +555,40 @@ func (s *Service) checkpoint(j *job, cp *Checkpoint, p Progress) {
 	s.publishLocked(j, Event{Type: "progress", Progress: &p})
 }
 
+// Checkpoint cadences of the prove and leakage kinds, in units per chunk.
+// Persisting a record rewrites the whole job, completed prefix included,
+// so a checkpoint after every unit would cost more than the units.
+const (
+	proveCheckpointPairs     = 32
+	leakageCheckpointBatches = 8
+)
+
+// runChunked runs units [start, total) through step and calls save with
+// the next unit index at every checkpoint boundary: each multiple of
+// every, the last unit and — when ctx is done or step fails — the
+// completed prefix before the error is returned, so a drained job
+// persists exactly the units it finished. A prefix is saved at most once.
+func runChunked(ctx context.Context, start, total, every int, step func(unit int) error, save func(next int)) error {
+	saved := start
+	for next := start; next < total; next++ {
+		err := ctx.Err()
+		if err == nil {
+			err = step(next)
+		}
+		if err != nil {
+			if next > saved {
+				save(next)
+			}
+			return err
+		}
+		if next+1 == total || (next+1)%every == 0 {
+			save(next + 1)
+			saved = next + 1
+		}
+	}
+	return nil
+}
+
 // runCampaign executes a campaign job through executeCampaign, resuming
 // from its checkpoint. Every advance of the merged batch prefix is a
 // checkpoint, so a drained or killed job resumes at the last one; the
@@ -635,6 +669,9 @@ func (s *Service) executeCampaign(ctx context.Context, id string, req JobRequest
 		}
 	}
 	batches := camp.NumBatches()
+	if from.NextBatch < 0 || from.NextBatch > batches {
+		return acc, fmt.Errorf("campaign checkpoint batch %d outside 0..%d", from.NextBatch, batches)
+	}
 
 	if s.dist == nil {
 		chunk := max((s.cfg.CheckpointEveryRuns+sim.Lanes-1)/sim.Lanes, 1)
@@ -881,11 +918,13 @@ func runArea(req JobRequest) (*JobResult, error) {
 
 // runProve executes a prove job one (fault location, model) pair at a
 // time. Proofs are deterministic and independent per pair, and the pairs
-// are walked in a fixed order (locations outer, models inner), so every
-// pair boundary is a checkpoint: the completed pairs and the next index
-// are persisted after each proof, and a drained or killed job resumes by
-// replaying the checkpointed pairs into the aggregate and proving only
-// the remainder — never re-proving a completed pair.
+// are walked in a fixed order (locations outer, models inner), so the
+// completed pairs and the next index resume the job exactly. They are
+// checkpointed every proveCheckpointPairs pairs, after the last pair and
+// when the job stops early: a drained job resumes by replaying the
+// checkpointed pairs into the aggregate and proving only the remainder —
+// never re-proving a completed pair — and a killed one re-proves at most
+// one chunk.
 func (s *Service) runProve(ctx context.Context, j *job) (*JobResult, error) {
 	m, err := ResolveModule(j.req.Design)
 	if err != nil {
@@ -921,6 +960,12 @@ func (s *Service) runProve(ctx context.Context, j *job) (*JobResult, error) {
 	if err := s.resume(j, func(cp *Checkpoint) (Progress, error) {
 		if cp != nil && cp.Prove != nil {
 			start = cp.Prove.NextPair
+			if start < 0 || start > total {
+				return Progress{}, fmt.Errorf("prove checkpoint pair %d outside 0..%d", start, total)
+			}
+			if len(cp.Prove.Done) != start {
+				return Progress{}, fmt.Errorf("prove checkpoint lists %d done pairs, want %d", len(cp.Prove.Done), start)
+			}
 			for _, l := range cp.Prove.Done {
 				res.Accumulate(l)
 			}
@@ -930,30 +975,34 @@ func (s *Service) runProve(ctx context.Context, j *job) (*JobResult, error) {
 		return nil, err
 	}
 
-	for pair := start; pair < total; pair++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	err = runChunked(ctx, start, total, proveCheckpointPairs, func(pair int) error {
 		lr, err := a.Prove(locs[pair/len(models)], models[pair%len(models)])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.Accumulate(NewProveLocation(lr))
+		return nil
+	}, func(next int) {
 		// The checkpoint owns its own copy of the completed pairs: the
 		// result keeps growing while the persisted record must stay a
 		// frozen snapshot of this boundary.
 		done := append([]ProveLocation(nil), res.Locations...)
-		s.checkpoint(j, &Checkpoint{Prove: &ProveCheckpoint{NextPair: pair + 1, Done: done}}, Progress{Done: pair + 1, Total: total})
+		s.checkpoint(j, &Checkpoint{Prove: &ProveCheckpoint{NextPair: next, Done: done}}, Progress{Done: next, Total: total})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &JobResult{Prove: res}, nil
 }
 
 // runLeakage executes a leakage job one trace batch at a time. Batches
 // are (seed, batch)-deterministic and the streaming t-test accumulator
-// serialises bit-exactly, so every batch boundary is a checkpoint: a
-// drained or killed job resumes by restoring the accumulator and
-// simulating exactly the remaining batches — the final t-statistics are
-// bit-identical to an uninterrupted run.
+// serialises bit-exactly, so the accumulator alone resumes the job. It is
+// checkpointed every leakageCheckpointBatches batches, after the last
+// batch and when the job stops early: a drained job resumes by restoring
+// the accumulator and simulating exactly the remaining batches, a killed
+// one re-simulates at most one chunk, and the final t-statistics are
+// bit-identical to an uninterrupted run either way.
 func (s *Service) runLeakage(ctx context.Context, j *job) (*JobResult, error) {
 	ev, err := buildLeakage(j.req)
 	if err != nil {
@@ -971,15 +1020,17 @@ func (s *Service) runLeakage(ctx context.Context, j *job) (*JobResult, error) {
 		return nil, err
 	}
 
-	for !ev.Done() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	err = runChunked(ctx, ev.NextBatch(), ev.NumBatches(), leakageCheckpointBatches, func(int) error {
 		ev.Step()
+		return nil
+	}, func(int) {
 		// State() deep-copies the accumulator, so the persisted record
 		// stays a frozen snapshot of this batch boundary.
 		st := ev.State()
 		s.checkpoint(j, &Checkpoint{Leakage: &st}, Progress{Done: ev.PairsDone(), Total: total})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &JobResult{Leakage: NewLeakageResult(ev.Result())}, nil
 }
