@@ -111,7 +111,8 @@ e2e-multifault:
 		-run 'TestE2EMultiFault|TestMultiFault' \
 		./internal/service/... ./internal/plan/...
 
-# Leakage evaluation under the race detector: the TVLA evaluator's
+# Leakage evaluation under the race detector: the power probe's
+# bit-sliced sampling against its golden traces, the TVLA evaluator's
 # determinism and resume bit-identity, the masked-vs-unmasked verdict
 # separation, and a daemon drained mid-evaluation must resume on restart
 # completing exactly the remaining trace batches — measured through
@@ -119,8 +120,8 @@ e2e-multifault:
 # uninterrupted run.
 e2e-leakage:
 	$(GO) test -race -count=1 \
-		-run 'TestE2ELeakage|TestLeakage|TestFacadeLeakage|TestTTest' \
-		./internal/service/... ./internal/leakage/... ./internal/stats/... .
+		-run 'TestE2ELeakage|TestLeakage|TestFacadeLeakage|TestTTest|TestProbe|TestTrace|TestRestrict|TestGlobalLambda|TestLocalizedProbe' \
+		./internal/service/... ./internal/leakage/... ./internal/stats/... ./internal/power/... .
 
 # Static countermeasure audit: the synthesised PRESENT-80 three-in-one
 # core must lint clean for every entropy variant, and the unprotected
@@ -135,6 +136,6 @@ sconelint:
 
 # Replay the checked-in fuzz seed corpora (no open-ended fuzzing).
 fuzz:
-	$(GO) test -run=Fuzz ./internal/netlist ./internal/lint ./internal/store ./internal/prove ./internal/plan
+	$(GO) test -run=Fuzz ./internal/netlist ./internal/lint ./internal/store ./internal/prove ./internal/plan ./internal/power
 
 ci: fmt-check build lint test race bench-smoke fuzz sconelint

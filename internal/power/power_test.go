@@ -1,11 +1,18 @@
 package power
 
 import (
+	"bytes"
+	"encoding/binary"
+	mathbits "math/bits"
 	"testing"
+	"time"
 
 	"repro/internal/cipher/present"
 	"repro/internal/core"
+	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/spn"
+	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
@@ -150,4 +157,149 @@ func TestParseModel(t *testing.T) {
 			t.Errorf("model %v has empty name", m)
 		}
 	}
+}
+
+// perBitCounts is the reference the bit-sliced counter must match: it
+// walks the set bits of every word and bumps the count of that bit's
+// lane, one step per set bit.
+func perBitCounts(words []uint64) (counts [sim.Lanes]uint64) {
+	for _, w := range words {
+		for w != 0 {
+			counts[mathbits.TrailingZeros64(w)]++
+			w &= w - 1
+		}
+	}
+	return counts
+}
+
+// FuzzLaneCounter feeds a word sequence, split into two add calls at a
+// fuzzed point, to the bit-sliced counter and requires the per-bit
+// oracle's counts; a second pass checks take left the counter empty.
+func FuzzLaneCounter(f *testing.F) {
+	gen := rng.NewXoshiro(0xC0FFEE)
+	words := func(n int) []byte {
+		b := make([]byte, 8*n)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(b[8*i:], gen.Uint64())
+		}
+		return b
+	}
+	f.Add([]byte{}, uint(0))
+	f.Add(words(1), uint(0))
+	f.Add(words(7), uint(3))
+	f.Add(words(9), uint(8))
+	f.Add(words(21), uint(5))
+	f.Add(append(words(16), 0xAB, 0xCD), uint(11))
+	// A long all-ones run: every lane counts 8197, which reaches plane 13.
+	f.Add(bytes.Repeat([]byte{0xFF}, 8*8197), uint(4099))
+	f.Fuzz(func(t *testing.T, data []byte, split uint) {
+		ws := make([]uint64, (len(data)+7)/8)
+		for i := range ws {
+			var b [8]byte
+			copy(b[:], data[8*i:])
+			ws[i] = binary.LittleEndian.Uint64(b[:])
+		}
+		want := perBitCounts(ws)
+		k := int(split % uint(len(ws)+1))
+		var c laneCounter
+		var got [sim.Lanes]uint64
+		c.add(ws[:k])
+		c.add(ws[k:])
+		c.take(&got)
+		if got != want {
+			t.Fatalf("split %d of %d words: counts %v, want %v", k, len(ws), got, want)
+		}
+		c.add(ws)
+		c.take(&got)
+		if got != want {
+			t.Fatalf("second pass over %d words: counts %v, want %v", len(ws), got, want)
+		}
+	})
+}
+
+// Batches run without a BeginBatch in front — right after Attach, or a
+// second batch after one BeginBatch — must each leave one
+// CyclesPerRun-long trace per lane that a t-test accepts, and BeginBatch
+// must not disturb the traces of a batch the caller still holds.
+func TestProbeBatchWithoutBeginBatch(t *testing.T) {
+	d, r := runner(t, core.SchemeUnprotected)
+	for _, begin := range []bool{false, true} {
+		p := Attach(r, HammingDistance)
+		if begin {
+			p.BeginBatch()
+		}
+		tt := stats.NewTTest(d.CyclesPerRun())
+		for batch := 0; batch < 2; batch++ {
+			r.EncryptBatch([]uint64{1, 2, 3}, key, nil, nil)
+			for lane, tr := range p.Traces() {
+				if len(tr) != d.CyclesPerRun() {
+					t.Fatalf("begin=%v batch %d lane %d: trace length %d, want %d",
+						begin, batch, lane, len(tr), d.CyclesPerRun())
+				}
+			}
+			tt.Add(0, p.Traces()[0])
+			tt.Add(1, p.Traces()[1])
+		}
+		kept := p.Traces()
+		snapshot := append([]float64(nil), kept[0]...)
+		p.BeginBatch()
+		r.EncryptBatch([]uint64{0xFFFF_FFFF_FFFF_FFFF}, key, nil, nil)
+		for c, v := range snapshot {
+			if kept[0][c] != v {
+				t.Fatalf("BeginBatch overwrote the previous batch's sample at cycle %d", c)
+			}
+		}
+		p.Detach()
+	}
+}
+
+// BenchmarkProbeSample times the probe's per-cycle reduction on the masked
+// core under the Hamming-distance model, one 64-lane batch with random
+// plaintexts, λ and masks per iteration;
+// ns/net-cycle is the sampling time alone per sampled net per cycle.
+func BenchmarkProbeSample(b *testing.B) {
+	d := core.MustBuild(present.Spec(), core.Options{
+		Scheme: core.SchemeMaskedDup, Entropy: core.EntropyPrime, Engine: synth.EngineANF,
+	})
+	r, err := core.NewRunner(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := rng.NewXoshiro(0xBE7C)
+	pts := make([]uint64, sim.Lanes)
+	lams := make([]uint64, sim.Lanes)
+	for i := range pts {
+		pts[i] = gen.Uint64()
+		lams[i] = gen.Bits(d.LambdaWidth)
+	}
+	ms := &core.MaskSet{
+		StateEven: make([]uint64, sim.Lanes),
+		StateOdd:  make([]uint64, sim.Lanes),
+		RandEven:  make([]uint64, sim.Lanes),
+		RandOdd:   make([]uint64, sim.Lanes),
+		Lambda:    make([]uint64, sim.Lanes),
+	}
+	for i := 0; i < sim.Lanes; i++ {
+		ms.StateEven[i] = gen.Bits(d.Spec.BlockBits)
+		ms.StateOdd[i] = gen.Bits(d.Spec.BlockBits)
+		ms.RandEven[i] = gen.Bits(d.MaskPoolWidth)
+		ms.RandOdd[i] = gen.Bits(d.MaskPoolWidth)
+		ms.Lambda[i] = gen.Bits(1)
+	}
+	r.Masks = ms
+	p := Attach(r, HammingDistance)
+	var sampling time.Duration
+	r.CycleHook = func(cycle int) {
+		start := time.Now()
+		p.sample(cycle)
+		sampling += time.Since(start)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.BeginBatch()
+		r.EncryptBatch(pts, key, nil, core.LambdaConst(lams))
+	}
+	b.StopTimer()
+	netCycles := float64(b.N) * float64(d.CyclesPerRun()) * float64(len(p.sampled))
+	b.ReportMetric(float64(sampling.Nanoseconds())/netCycles, "ns/net-cycle")
 }

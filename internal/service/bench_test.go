@@ -52,3 +52,15 @@ func BenchmarkLeakageJob(b *testing.B) {
 		},
 	})
 }
+
+// BenchmarkLeakageJobUnmasked is the same evaluation on the unmasked
+// three-in-one core.
+func BenchmarkLeakageJobUnmasked(b *testing.B) {
+	benchmarkJob(b, JobRequest{
+		Kind:   KindLeakage,
+		Design: DesignSpec{Cipher: "present80", Scheme: "three-in-one", Entropy: "prime"},
+		Leakage: &LeakageSpec{
+			Pairs: 1024, Seed: 0x5C09E2021, Key: testKey, Model: "hd", FixedPT: 0x0123456789ABCDEF,
+		},
+	})
+}
