@@ -136,6 +136,6 @@ sconelint:
 
 # Replay the checked-in fuzz seed corpora (no open-ended fuzzing).
 fuzz:
-	$(GO) test -run=Fuzz ./internal/netlist ./internal/lint ./internal/store ./internal/prove ./internal/plan ./internal/power
+	$(GO) test -run=Fuzz ./internal/netlist ./internal/lint ./internal/store ./internal/prove ./internal/plan ./internal/power ./internal/service
 
 ci: fmt-check build lint test race bench-smoke fuzz sconelint

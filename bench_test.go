@@ -208,7 +208,7 @@ func benchGateEval(b *testing.B, eval func(*sim.Simulator)) {
 	d := core.MustBuild(present.Spec(), core.Options{
 		Scheme: core.SchemeThreeInOne, Entropy: core.EntropyPrime, Engine: synth.EngineANF,
 	})
-	c, err := sim.CompileCached(d.Mod)
+	c, err := d.Compiled()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // internal/vetkit, standard library only):
 //
 //	norand         forbid math/rand outside _test.go and internal/rng
-//	cachedcompile  forbid direct sim.Compile outside internal/sim
+//	cachedcompile  forbid direct sim.Compile outside internal/sim and
+//	               internal/core (use (*core.Design).Compiled)
 //	ctxexecute     forbid context-free .Execute( in internal/service and
 //	               cmd/sconed (use ExecuteContext/ExecuteBatches)
 //	obsnames       enforce scone_<pkg>_<metric>_<unit> metric names at obs

@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/spn"
 )
 
@@ -35,24 +34,23 @@ type Target struct {
 	D   *core.Design
 	Key spn.KeyState
 
-	compiled *sim.Compiled
-	runner   *core.Runner
-	inj      *fault.Injector
-	gen      *rng.Xoshiro
+	runner *core.Runner
+	inj    *fault.Injector
+	gen    *rng.Xoshiro
 }
 
-// NewTarget compiles the design. seed drives the device-side randomness.
+// NewTarget runs the design on its compiled program. seed drives the
+// device-side randomness.
 func NewTarget(d *core.Design, key spn.KeyState, seed uint64) (*Target, error) {
-	compiled, err := sim.CompileCached(d.Mod)
+	runner, err := core.NewRunner(d)
 	if err != nil {
 		return nil, err
 	}
 	return &Target{
-		D:        d,
-		Key:      key,
-		compiled: compiled,
-		runner:   core.NewRunnerFrom(d, compiled),
-		gen:      rng.NewXoshiro(seed),
+		D:      d,
+		Key:    key,
+		runner: runner,
+		gen:    rng.NewXoshiro(seed),
 	}, nil
 }
 

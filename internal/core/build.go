@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/netlist"
+	"repro/internal/sim"
 	"repro/internal/spn"
 	"repro/internal/synth"
 )
@@ -61,6 +63,28 @@ type Design struct {
 	branchCells [3][2]int
 
 	probesValid bool
+
+	// compileOnce guards the design's compiled program, filled on the
+	// first Compiled call and shared by every runner after it.
+	compileOnce sync.Once
+	compiled    *sim.Compiled
+	compileErr  error
+}
+
+// Compiled returns the design's compiled simulator program, lowering Mod on
+// the first call and handing every later caller the same program. The
+// program lives as long as the design: a campaign, attack or evaluation
+// compiles the core it simulates once, and releasing the design releases
+// its program. Mod must not be structurally modified after the first call.
+// The first call counts as a compile-cache miss, every later one as a hit.
+func (d *Design) Compiled() (*sim.Compiled, error) {
+	reused := true
+	d.compileOnce.Do(func() {
+		reused = false
+		d.compiled, d.compileErr = sim.Compile(d.Mod)
+	})
+	sim.CountProgramUse(reused)
+	return d.compiled, d.compileErr
 }
 
 // Region classifies a cell index into the structural part of the design it

@@ -49,10 +49,10 @@ type MaskSet struct {
 	Lambda []uint64
 }
 
-// NewRunner compiles the design (through the process-wide compile cache)
-// and creates a simulator for it.
+// NewRunner creates a simulator over the design's compiled program
+// (compiling it on the design's first use).
 func NewRunner(d *Design) (*Runner, error) {
-	c, err := sim.CompileCached(d.Mod)
+	c, err := d.Compiled()
 	if err != nil {
 		return nil, err
 	}

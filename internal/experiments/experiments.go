@@ -49,9 +49,8 @@ func (c Config) runs() int {
 }
 
 // The figure experiments all target the same two PRESENT-80 designs;
-// building (and therefore compiling) them once lets every experiment in a
-// process share one netlist pointer, which is what makes the simulator's
-// pointer-keyed compile cache effective across fig4, fig5 and the sweeps.
+// building them once lets fig4, fig5 and the sweeps in one process share
+// each design and therefore its compiled program.
 var (
 	naiveOnce, threeOnce     sync.Once
 	naiveDesign, threeDesign *core.Design

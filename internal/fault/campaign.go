@@ -232,7 +232,7 @@ func (c *Campaign) ExecuteBatchesFunc(ctx context.Context, first, last int, obse
 	if err != nil {
 		return Result{}, err
 	}
-	compiled, err := sim.CompileCached(simD.Mod)
+	compiled, err := simD.Compiled()
 	if err != nil {
 		return Result{}, err
 	}

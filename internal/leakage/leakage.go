@@ -106,9 +106,9 @@ type Evaluator struct {
 	masks        *core.MaskSet
 }
 
-// New builds an evaluator. The design is compiled through the
-// process-wide cache; faults are installed on the evaluator's private
-// runner, so concurrent evaluations do not interfere.
+// New builds an evaluator over the design's compiled program (shared with
+// every other runner of the design); faults are installed on the
+// evaluator's private runner, so concurrent evaluations do not interfere.
 func New(cfg Config) (*Evaluator, error) {
 	if cfg.Design == nil {
 		return nil, fmt.Errorf("leakage: nil design")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/attack"
 	"repro/internal/cipher/gift"
 	"repro/internal/cipher/present"
 	"repro/internal/cipher/scone64"
@@ -62,10 +63,9 @@ func ParseDesign(ds DesignSpec) (*spn.Spec, core.Options, error) {
 }
 
 // BuildDesign synthesises the core a job addresses. Every call builds a
-// fresh module, and sim.CompileCached memoises on module identity, so
-// repeated jobs against the same spec each compile (and keep cached) their
-// own program; only executions sharing one built design, such as a
-// multifault job's placements, share a compilation.
+// fresh design, which compiles its own program on first use and frees it
+// when the job drops the design; executions sharing one built design, such
+// as a multifault job's placements, share that program.
 func BuildDesign(ds DesignSpec) (*core.Design, error) {
 	if ds.Netlist != "" {
 		return nil, fmt.Errorf("this job kind needs a synthesised design, not an inline netlist")
@@ -145,6 +145,25 @@ func checkFault(spec *spn.Spec, scheme core.Scheme, fs FaultSpec) (core.Branch, 
 		return 0, 0, fmt.Errorf("S-box %d bit %d out of range for %s", fs.Sbox, fs.Bit, spec.Name)
 	}
 	return branch, model, nil
+}
+
+// attackSite returns the S-box and bit a sifa or fta job attacks: the
+// request's coordinates where set, else the attack driver's defaults. FTA
+// probes whole S-boxes, so its bit is always 0.
+func attackSite(kind Kind, a *AttackSpec) (sbox, bit int) {
+	if kind == KindFTA {
+		sbox = attack.DefaultFTAConfig().SboxIndex
+	} else {
+		def := attack.DefaultSIFAConfig()
+		sbox, bit = def.SboxIndex, def.FaultBit
+		if a.Bit != nil {
+			bit = *a.Bit
+		}
+	}
+	if a.Sbox != nil {
+		sbox = *a.Sbox
+	}
+	return sbox, bit
 }
 
 // resolveFaults maps wire fault specs onto concrete nets of the built

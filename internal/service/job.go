@@ -101,8 +101,9 @@ type DesignSpec struct {
 	Engine  string `json:"engine,omitempty"`  // anf, bdd
 	// SeparateSbox selects the ACISP-style split S-box layout ablation.
 	SeparateSbox bool `json:"separate_sbox,omitempty"`
-	// Optimize runs the synthesis optimiser (area jobs only: optimised
-	// designs lose the probe points fault campaigns address).
+	// Optimize runs the synthesis optimiser (area, lint and prove jobs
+	// only: optimised designs lose the probe points fault campaigns and
+	// attacks address).
 	Optimize bool `json:"optimize,omitempty"`
 	// Netlist is an inline text netlist (area/lint jobs), read laxly so
 	// the linter can be pointed at structurally broken modules.
@@ -286,6 +287,11 @@ func (r *JobRequest) Validate() error {
 			return err
 		}
 		spec, scheme = s, opts.Scheme
+		// An optimised build loses the S-box probe points that fault
+		// injection and the attack drivers address.
+		if opts.Optimize && r.Kind != KindArea && r.Kind != KindLint && r.Kind != KindProve {
+			return fmt.Errorf("%s jobs need an unoptimised design (optimisation drops the probe points they address)", r.Kind)
+		}
 	}
 	checkFaults := func(faults []FaultSpec) error {
 		for i, f := range faults {
@@ -330,6 +336,14 @@ func (r *JobRequest) Validate() error {
 		}
 		if _, err := parseModel(r.Attack.Model); err != nil {
 			return err
+		}
+		if r.Kind != KindDFA {
+			// The sifa and fta drivers index the design's S-box input
+			// buses with their attack site.
+			sbox, bit := attackSite(r.Kind, r.Attack)
+			if sbox < 0 || sbox >= spec.NumSboxes() || bit < 0 || bit >= spec.SboxBits {
+				return fmt.Errorf("S-box %d bit %d out of range for %s", sbox, bit, spec.Name)
+			}
 		}
 	case KindMultiFault:
 		m := r.MultiFault

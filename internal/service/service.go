@@ -836,20 +836,12 @@ func (s *Service) runAttack(ctx context.Context, j *job) (*JobResult, error) {
 			return nil, err
 		}
 		cfg := attack.DefaultSIFAConfig()
-		if a.Sbox != nil {
-			cfg.SboxIndex = *a.Sbox
-		}
-		if a.Bit != nil {
-			cfg.FaultBit = *a.Bit
-		}
+		cfg.SboxIndex, cfg.FaultBit = attackSite(KindSIFA, a)
 		if a.Injections > 0 {
 			cfg.Injections = a.Injections
 		}
 		if a.Seed != 0 {
 			cfg.Seed = uint64(a.Seed)
-		}
-		if cfg.SboxIndex >= d.Spec.NumSboxes() || cfg.FaultBit >= d.Spec.SboxBits {
-			return nil, fmt.Errorf("S-box %d bit %d out of range for %s", cfg.SboxIndex, cfg.FaultBit, d.Spec.Name)
 		}
 		res := attack.RunSIFA(t, cfg)
 		return &JobResult{SIFA: &SIFAResult{
@@ -861,9 +853,7 @@ func (s *Service) runAttack(ctx context.Context, j *job) (*JobResult, error) {
 		}}, ctx.Err()
 	case KindFTA:
 		cfg := attack.DefaultFTAConfig()
-		if a.Sbox != nil {
-			cfg.SboxIndex = *a.Sbox
-		}
+		cfg.SboxIndex, _ = attackSite(KindFTA, a)
 		if a.Repeats > 0 {
 			cfg.Repeats = a.Repeats
 		}
@@ -875,9 +865,6 @@ func (s *Service) runAttack(ctx context.Context, j *job) (*JobResult, error) {
 		}
 		if a.Seed != 0 {
 			cfg.Seed = uint64(a.Seed)
-		}
-		if cfg.SboxIndex >= d.Spec.NumSboxes() {
-			return nil, fmt.Errorf("S-box %d out of range for %s", cfg.SboxIndex, d.Spec.Name)
 		}
 		res, err := attack.RunFTAOnDesign(d, key, cfg, deviceSeed)
 		if err != nil {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +91,7 @@ func TestU64JSONRoundTrip(t *testing.T) {
 }
 
 func TestValidateRejectsBadRequests(t *testing.T) {
+	neg, past := -1, 16
 	cases := []struct {
 		name string
 		req  JobRequest
@@ -104,6 +107,14 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 		{"multifault cone on absent branch", JobRequest{Kind: KindMultiFault, Design: DesignSpec{Scheme: "three-in-one"}, MultiFault: &MultiFaultSpec{RunsPerTuple: 8, Cone: &FaultSpec{Branch: "redundant2"}}}},
 		{"campaign with netlist", JobRequest{Kind: KindCampaign, Design: DesignSpec{Netlist: "module m\nend\n"}, Campaign: &CampaignSpec{Runs: 10, Faults: []FaultSpec{{}}}}},
 		{"attack without spec", JobRequest{Kind: KindDFA}},
+		{"sifa negative S-box", JobRequest{Kind: KindSIFA, Attack: &AttackSpec{Sbox: &neg}}},
+		{"sifa negative bit", JobRequest{Kind: KindSIFA, Attack: &AttackSpec{Bit: &neg}}},
+		{"fta negative S-box", JobRequest{Kind: KindFTA, Attack: &AttackSpec{Sbox: &neg}}},
+		{"sifa S-box past the cipher", JobRequest{Kind: KindSIFA, Attack: &AttackSpec{Sbox: &past}}},
+		{"sifa bit past the S-box", JobRequest{Kind: KindSIFA, Attack: &AttackSpec{Bit: &past}}},
+		{"fta S-box past the cipher", JobRequest{Kind: KindFTA, Attack: &AttackSpec{Sbox: &past}}},
+		{"sifa on an optimised design", JobRequest{Kind: KindSIFA, Design: DesignSpec{Optimize: true}, Attack: &AttackSpec{}}},
+		{"campaign on an optimised design", JobRequest{Kind: KindCampaign, Design: DesignSpec{Optimize: true}, Campaign: &CampaignSpec{Runs: 10, Faults: []FaultSpec{{}}}}},
 		{"bad cipher", JobRequest{Kind: KindLint, Design: DesignSpec{Cipher: "des"}}},
 		{"bad scheme", JobRequest{Kind: KindLint, Design: DesignSpec{Scheme: "hope"}}},
 		{"bad entropy", JobRequest{Kind: KindLint, Design: DesignSpec{Entropy: "vibes"}}},
@@ -329,6 +340,39 @@ func TestAttackJobs(t *testing.T) {
 	st = waitTerminal(t, s, fta.ID)
 	if st.State != StateDone || st.Result == nil || st.Result.FTA == nil {
 		t.Fatalf("fta job: %s (%s)", st.State, st.Error)
+	}
+}
+
+// TestBadAttackSitesAreRejected submits the attack payloads that once
+// crashed the daemon over HTTP: each must be a typed 400, and the daemon
+// must go on to run the next job.
+func TestBadAttackSitesAreRejected(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, p := range attackCrashPayloads {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Error struct{ Code string } `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeInvalidRequest {
+			t.Errorf("%s: status %d code %q, want 400 %s", p, resp.StatusCode, env.Error.Code, CodeInvalidRequest)
+		}
+	}
+	st, err := s.Submit(campaignRequest(64, "prime"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitTerminal(t, s, st.ID); st.State != StateDone {
+		t.Fatalf("next job after the rejected payloads: %s (%s)", st.State, st.Error)
 	}
 }
 

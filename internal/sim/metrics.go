@@ -31,8 +31,8 @@ func EnableObservability(reg *obs.Registry) {
 		return
 	}
 	met.Store(&metrics{
-		cacheHits:   reg.NewCounter("scone_sim_compile_cache_hits_total", "CompileCached requests served from the process-wide cache"),
-		cacheMisses: reg.NewCounter("scone_sim_compile_cache_misses_total", "CompileCached requests that triggered a fresh compilation"),
+		cacheHits:   reg.NewCounter("scone_sim_compile_cache_hits_total", "Requests for a design's program served by its earlier compilation"),
+		cacheMisses: reg.NewCounter("scone_sim_compile_cache_misses_total", "Requests for a design's program that compiled it (first use of the design)"),
 		compiles:    reg.NewCounter("scone_sim_compiles_total", "Modules lowered to instruction streams"),
 		evals:       reg.NewCounter("scone_sim_evals_total", "Combinational evaluation passes executed"),
 		lanes:       reg.NewCounter("scone_sim_lanes_total", "Simulation lanes evaluated (64 per eval pass)"),
@@ -60,15 +60,16 @@ func countCompile(p *program) {
 	}
 }
 
-// countCacheHit / countCacheMiss record CompileCached outcomes.
-func countCacheHit() {
+// CountProgramUse records one request for a built design's compiled
+// program: a hit when the design's program was reused, a miss when the
+// request compiled it. The program memo lives on core.Design; the counters
+// stay with the simulator's other instruments.
+func CountProgramUse(reused bool) {
 	if m := met.Load(); m != nil {
-		m.cacheHits.Inc()
-	}
-}
-
-func countCacheMiss() {
-	if m := met.Load(); m != nil {
-		m.cacheMisses.Inc()
+		if reused {
+			m.cacheHits.Inc()
+		} else {
+			m.cacheMisses.Inc()
+		}
 	}
 }

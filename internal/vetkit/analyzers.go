@@ -78,16 +78,18 @@ var CtxExecute = &Analyzer{
 // simImportPath is the compiled-simulator package CachedCompile guards.
 const simImportPath = "repro/internal/sim"
 
-// CachedCompile forbids direct sim.Compile calls outside internal/sim.
-// Compiling a netlist is the dominant cost of every experiment loop;
-// sim.CompileCached shares compiled programs across callers, and calling
-// sim.Compile directly silently bypasses that cache.
+// CachedCompile forbids direct sim.Compile calls outside internal/sim and
+// internal/core. A built core.Design owns its compiled program: every
+// runner, campaign and attack over the design shares the one program
+// (*core.Design).Compiled lowers on first use, and the program is freed
+// with the design. Calling sim.Compile directly recompiles the core and
+// bypasses the compile counters.
 var CachedCompile = &Analyzer{
 	Name: "cachedcompile",
-	Doc:  "forbid direct sim.Compile outside internal/sim (use sim.CompileCached)",
+	Doc:  "forbid direct sim.Compile outside internal/sim and internal/core (use (*core.Design).Compiled)",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
-			if f.Test || strings.HasPrefix(f.Dir(), "internal/sim/") {
+			if f.Test || strings.HasPrefix(f.Dir(), "internal/sim/") || strings.HasPrefix(f.Dir(), "internal/core/") {
 				continue
 			}
 			local := importName(f.AST, simImportPath)
@@ -104,7 +106,7 @@ var CachedCompile = &Analyzer{
 					return true
 				}
 				if id, ok := sel.X.(*ast.Ident); ok && id.Name == local && id.Obj == nil {
-					p.Reportf(call.Pos(), "direct sim.Compile call bypasses the program cache: use sim.CompileCached")
+					p.Reportf(call.Pos(), "direct sim.Compile call bypasses the design's program: use (*core.Design).Compiled")
 				}
 				return true
 			})

@@ -54,9 +54,17 @@ func f(m any) { sim.Compile(m) }
 `,
 		"internal/fault/ok.go": `package fault
 
+import "repro/internal/core"
+
+func g(d *core.Design) { d.Compiled() }
+`,
+		"internal/core/build.go": `package core
+
 import "repro/internal/sim"
 
-func g(m any) { sim.CompileCached(m) }
+type Design struct{ Mod any }
+
+func (d *Design) Compiled() { sim.Compile(d.Mod) }
 `,
 		"internal/fault/shadow.go": `package fault
 
@@ -76,8 +84,6 @@ func t(m any) { sim.Compile(m) }
 		"internal/sim/compile.go": `package sim
 
 func Compile(m any) {}
-
-func CompileCached(m any) { Compile(m) }
 `,
 	})
 	diags, err := Run(root, []*Analyzer{CachedCompile})
@@ -87,7 +93,7 @@ func CompileCached(m any) { Compile(m) }
 	if len(diags) != 1 {
 		t.Fatalf("got %d findings, want 1: %v", len(diags), diags)
 	}
-	if d := diags[0]; d.Pos.Filename != "internal/fault/bad.go" || !strings.Contains(d.Message, "CompileCached") {
+	if d := diags[0]; d.Pos.Filename != "internal/fault/bad.go" || !strings.Contains(d.Message, "(*core.Design).Compiled") {
 		t.Fatalf("unexpected finding: %s", d.String())
 	}
 }
